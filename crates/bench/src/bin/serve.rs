@@ -214,18 +214,22 @@ impl ServeArgs {
         let mut it = args.into_iter();
         while let Some(key) = it.next() {
             let mut grab = |name: &str| -> String {
-                it.next().unwrap_or_else(|| panic!("usage: {name} <value>"))
+                it.next()
+                    .unwrap_or_else(|| usage_bail(format!("usage: {name} <value>")))
             };
             let num = |name: &str, v: String| -> u64 {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("usage: {name} <number>"))
+                v.parse().unwrap_or_else(|_| {
+                    usage_bail(format!(
+                        "invalid {name} {v:?}: expected a non-negative integer"
+                    ))
+                })
             };
             match key.as_str() {
                 "--instances" => out.instances = num("--instances", grab("--instances")) as usize,
                 "--policy" => {
                     let v = grab("--policy");
                     out.policy = SchedulePolicy::parse(&v)
-                        .unwrap_or_else(|| panic!("usage: --policy rr|sq|affinity"));
+                        .unwrap_or_else(|| usage_bail("usage: --policy rr|sq|affinity"));
                 }
                 "--requests" => out.requests = num("--requests", grab("--requests")) as usize,
                 "--queue" => out.queue = num("--queue", grab("--queue")) as usize,
@@ -235,7 +239,14 @@ impl ServeArgs {
                     let v = grab("--rate-us");
                     out.rate_us = v
                         .parse()
-                        .unwrap_or_else(|_| panic!("usage: --rate-us <microseconds>"));
+                        .ok()
+                        .filter(|us: &f64| us.is_finite() && *us > 0.0)
+                        .unwrap_or_else(|| {
+                            usage_bail(format!(
+                                "invalid --rate-us {v:?}: expected a positive, finite \
+                                 mean inter-arrival time in microseconds"
+                            ))
+                        });
                 }
                 "--trace-seed" => out.trace_seed = num("--trace-seed", grab("--trace-seed")),
                 "--ith" => out.ith = true,
@@ -259,7 +270,10 @@ impl ServeArgs {
                     );
                 }
                 "--max-retries" => {
-                    max_retries = Some(num("--max-retries", grab("--max-retries")) as u32);
+                    let n = num("--max-retries", grab("--max-retries"));
+                    max_retries = Some(u32::try_from(n).unwrap_or_else(|_| {
+                        usage_bail(format!("invalid --max-retries {n}: must fit in 32 bits"))
+                    }));
                 }
                 "--numeric-policy" => {
                     let v = grab("--numeric-policy");
@@ -350,6 +364,16 @@ impl ServeArgs {
                 usage_bail(e);
             }
         }
+        // Zero shards or replicas would otherwise fall through to the
+        // single-node path; the cluster's own rule rejects them up front.
+        let topology = ClusterConfig {
+            shards: out.shards,
+            replication: out.replication,
+            ..ClusterConfig::default()
+        };
+        if let Err(e) = topology.validate() {
+            usage_bail(e);
+        }
         let clustered = out.shards > 1 || out.replication > 1;
         if !clustered {
             // These knobs only exist at the cluster layer; accepting them
@@ -382,7 +406,7 @@ impl ServeArgs {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = HarnessArgs::parse(argv.clone());
+    let args = HarnessArgs::try_parse(argv.clone()).unwrap_or_else(|e| usage_bail(e));
     let serve_args = ServeArgs::parse(argv);
 
     eprintln!(

@@ -56,29 +56,39 @@ impl HarnessArgs {
     ///
     /// Panics with a usage message when a value is missing or unparsable.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+        Self::try_parse(args).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`HarnessArgs::parse`] for binaries that report usage errors
+    /// themselves.
+    ///
+    /// # Errors
+    ///
+    /// Returns a usage message when a value is missing or unparsable.
+    pub fn try_parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut out = Self::default();
         let mut it = args.into_iter();
         while let Some(key) = it.next() {
-            let mut grab = |name: &str| -> u64 {
+            let mut grab = |name: &str| -> Result<u64, String> {
                 it.next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| panic!("usage: {name} <number>"))
+                    .ok_or_else(|| format!("usage: {name} <number>"))
             };
             match key.as_str() {
-                "--tasks" => out.tasks = grab("--tasks") as usize,
-                "--train" => out.train = grab("--train") as usize,
-                "--test" => out.test = grab("--test") as usize,
-                "--seed" => out.seed = grab("--seed"),
-                "--reps" => out.reps = grab("--reps"),
+                "--tasks" => out.tasks = grab("--tasks")? as usize,
+                "--train" => out.train = grab("--train")? as usize,
+                "--test" => out.test = grab("--test")? as usize,
+                "--seed" => out.seed = grab("--seed")?,
+                "--reps" => out.reps = grab("--reps")?,
                 "--story-sentences" => {
-                    out.story_sentences = grab("--story-sentences") as usize;
+                    out.story_sentences = grab("--story-sentences")? as usize;
                 }
                 "--joint" => out.joint = true,
                 _ => {}
             }
         }
         out.tasks = out.tasks.clamp(1, 20);
-        out
+        Ok(out)
     }
 
     /// Converts the arguments into a suite configuration (quick model

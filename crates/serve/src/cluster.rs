@@ -45,8 +45,8 @@ use crate::membership::{
 };
 use crate::numeric::NumericHealth;
 use crate::report::{
-    answers_digest, BatchReport, CacheReport, HopPruneReport, IndexReport, LatencySummary,
-    LinkReport, ServeReport,
+    optional_sections, push_sections, render_sections, BatchReport, CacheReport, CompletionStats,
+    HopPruneReport, IndexReport, KeyedSection, LatencySummary, LinkReport, ServeReport,
 };
 use crate::request::{Completion, Rejection, Request};
 use crate::server::{ServeConfig, ServeOutcome, Server};
@@ -378,33 +378,29 @@ impl Serialize for ClusterReport {
             ("setup_s".into(), self.setup_s.to_value()),
             ("answers_digest".into(), self.answers_digest.to_value()),
         ];
-        if self.fault.enabled {
-            pairs.push(("fault".into(), self.fault.to_value()));
-        }
-        if self.numeric.enabled {
-            pairs.push(("numeric".into(), self.numeric.to_value()));
-        }
-        if self.batch.enabled {
-            pairs.push(("batch".into(), self.batch.to_value()));
-        }
-        if self.prune.enabled {
-            pairs.push(("prune".into(), self.prune.to_value()));
-        }
-        if self.index.enabled {
-            pairs.push(("index".into(), self.index.to_value()));
-        }
-        if self.durability.enabled {
-            pairs.push(("durability".into(), self.durability.to_value()));
-        }
-        if self.membership.enabled {
-            pairs.push(("membership".into(), self.membership.to_value()));
-        }
+        push_sections(&mut pairs, &self.sections());
         pairs.push(("per_shard".into(), self.per_shard.to_value()));
         serde_json::Value::Object(pairs)
     }
 }
 
 impl ClusterReport {
+    /// The optional sections, keyed, in report order: the ones shared
+    /// with [`ServeReport`], then membership.
+    fn sections(&self) -> Vec<KeyedSection<'_>> {
+        let mut sections = optional_sections(
+            &self.fault,
+            &self.numeric,
+            &self.batch,
+            &self.prune,
+            &self.index,
+            &self.durability,
+        )
+        .to_vec();
+        sections.push(("membership", &self.membership));
+        sections
+    }
+
     /// A copy with every durability section (cluster-level and per-shard)
     /// reset to the disabled default: with the WAL on but no kills, this
     /// must be byte-identical to the same campaign served without a WAL —
@@ -495,34 +491,7 @@ impl ClusterReport {
         t.row(vec!["answers digest".into(), self.answers_digest.clone()]);
         out.push_str(&t.render());
         out.push('\n');
-        if self.fault.enabled {
-            out.push_str(&self.fault.render());
-            out.push('\n');
-        }
-        if self.numeric.enabled {
-            out.push_str(&self.numeric.render());
-            out.push('\n');
-        }
-        if self.batch.enabled {
-            out.push_str(&self.batch.render());
-            out.push('\n');
-        }
-        if self.prune.enabled {
-            out.push_str(&self.prune.render());
-            out.push('\n');
-        }
-        if self.index.enabled {
-            out.push_str(&self.index.render());
-            out.push('\n');
-        }
-        if self.durability.enabled {
-            out.push_str(&self.durability.render());
-            out.push('\n');
-        }
-        if self.membership.enabled {
-            out.push_str(&self.membership.render());
-            out.push('\n');
-        }
+        render_sections(&mut out, &self.sections());
         let mut st = TextTable::new(vec![
             "shard".into(),
             "requests".into(),
@@ -1099,22 +1068,13 @@ impl<'a> Cluster<'a> {
                     .as_s()
             })
             .collect();
-        let mean_queue_wait_s = if completions.is_empty() {
-            0.0
-        } else {
-            completions
-                .iter()
-                .map(|c| c.timestamps.queue_wait().as_s())
-                .sum::<f64>()
-                / completions.len() as f64
-        };
-        let correct = completions.iter().filter(|c| c.correct).count();
 
         // ----- merge the report sections --------------------------------
         let makespan_s = passes
             .iter()
             .map(|(_, _, o)| o.report.makespan_s)
             .fold(0.0f64, f64::max);
+        let stats = CompletionStats::new(&completions, &latencies, makespan_s);
         let mut cache = CacheReport {
             capacity: base.story_cache,
             ..CacheReport::default()
@@ -1308,19 +1268,11 @@ impl<'a> Cluster<'a> {
             completed: completions.len(),
             rejected: rejections.len(),
             shed: sheds.len(),
-            accuracy: if completions.is_empty() {
-                0.0
-            } else {
-                correct as f64 / completions.len() as f64
-            },
+            accuracy: stats.accuracy,
             makespan_s,
-            throughput_rps: if makespan_s > 0.0 {
-                completions.len() as f64 / makespan_s
-            } else {
-                0.0
-            },
-            latency: LatencySummary::from_latencies(&latencies),
-            mean_queue_wait_s,
+            throughput_rps: stats.throughput_rps,
+            latency: stats.latency,
+            mean_queue_wait_s: stats.mean_queue_wait_s,
             max_queue_depth,
             failover,
             cache,
@@ -1329,9 +1281,7 @@ impl<'a> Cluster<'a> {
             speculated,
             total_energy_j,
             setup_s,
-            answers_digest: answers_digest(
-                completions.iter().map(|c| (c.request.id, c.run.answer)),
-            ),
+            answers_digest: stats.answers_digest,
             fault,
             numeric,
             batch,

@@ -6,8 +6,140 @@ use mann_hw::PhaseCycles;
 use serde::{Deserialize, Serialize};
 
 use crate::faults::FaultReport;
+use crate::membership::MembershipReport;
 use crate::numeric::NumericHealth;
+use crate::request::Completion;
 use crate::store::DurabilityReport;
+
+/// A lever's report section: its JSON key and its text table appear only
+/// while the lever is on, so a report from a run with the lever off is
+/// byte-identical to one from before the lever existed.
+pub(crate) trait Section: Serialize {
+    /// Whether the lever was on.
+    fn enabled(&self) -> bool;
+    /// The section's text table.
+    fn render(&self) -> String;
+}
+
+macro_rules! impl_section {
+    ($($t:ty),*) => {$(
+        impl Section for $t {
+            fn enabled(&self) -> bool {
+                self.enabled
+            }
+            fn render(&self) -> String {
+                <$t>::render(self)
+            }
+        }
+    )*};
+}
+
+impl_section!(
+    FaultReport,
+    NumericHealth,
+    BatchReport,
+    HopPruneReport,
+    IndexReport,
+    DurabilityReport,
+    MembershipReport
+);
+
+/// A section with its JSON key.
+pub(crate) type KeyedSection<'r> = (&'static str, &'r dyn Section);
+
+/// The optional sections both reports carry, keyed, in report order: the
+/// one list behind the JSON and the text of [`ServeReport`] and the
+/// cluster report (which appends its membership section).
+pub(crate) fn optional_sections<'r>(
+    fault: &'r FaultReport,
+    numeric: &'r NumericHealth,
+    batch: &'r BatchReport,
+    prune: &'r HopPruneReport,
+    index: &'r IndexReport,
+    durability: &'r DurabilityReport,
+) -> [KeyedSection<'r>; 6] {
+    [
+        ("fault", fault),
+        ("numeric", numeric),
+        ("batch", batch),
+        ("prune", prune),
+        ("index", index),
+        ("durability", durability),
+    ]
+}
+
+/// Appends each enabled section to a report's JSON object.
+pub(crate) fn push_sections(
+    pairs: &mut Vec<(String, serde_json::Value)>,
+    sections: &[KeyedSection],
+) {
+    for &(key, section) in sections {
+        if section.enabled() {
+            pairs.push((key.into(), section.to_value()));
+        }
+    }
+}
+
+/// Appends each enabled section's table to a report's text.
+pub(crate) fn render_sections(out: &mut String, sections: &[KeyedSection]) {
+    for &(_, section) in sections {
+        if section.enabled() {
+            out.push_str(&section.render());
+            out.push('\n');
+        }
+    }
+}
+
+/// Parses an optional key of a report: an absent key is the default (the
+/// lever was off).
+fn field_or_default<T: Deserialize + Default>(
+    v: &serde_json::Value,
+    key: &str,
+) -> Result<T, serde_json::Error> {
+    v.field(key)
+        .map_or_else(|_| Ok(T::default()), T::from_value)
+}
+
+/// The report fields that derive from the completion list alone, shared
+/// by [`ServeReport`] and the cluster report. The caller passes the
+/// latency samples, because the cluster measures a failed-over request
+/// from its original arrival rather than from its replica enqueue.
+pub(crate) struct CompletionStats {
+    pub(crate) accuracy: f64,
+    pub(crate) throughput_rps: f64,
+    pub(crate) latency: LatencySummary,
+    pub(crate) mean_queue_wait_s: f64,
+    pub(crate) answers_digest: String,
+}
+
+impl CompletionStats {
+    pub(crate) fn new(completions: &[Completion], latencies: &[f64], makespan_s: f64) -> Self {
+        let n = completions.len() as f64;
+        let (accuracy, mean_queue_wait_s) = if completions.is_empty() {
+            (0.0, 0.0)
+        } else {
+            let correct = completions.iter().filter(|c| c.correct).count();
+            let wait: f64 = completions
+                .iter()
+                .map(|c| c.timestamps.queue_wait().as_s())
+                .sum();
+            (correct as f64 / n, wait / n)
+        };
+        Self {
+            accuracy,
+            throughput_rps: if makespan_s > 0.0 {
+                n / makespan_s
+            } else {
+                0.0
+            },
+            latency: LatencySummary::from_latencies(latencies),
+            mean_queue_wait_s,
+            answers_digest: answers_digest(
+                completions.iter().map(|c| (c.request.id, c.run.answer)),
+            ),
+        }
+    }
+}
 
 /// Latency summary over completed requests (simulated seconds).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -271,10 +403,10 @@ pub struct LinkReport {
 
 /// Aggregate report of one served trace.
 ///
-/// Serialization is hand-written (not derived) for one reason: the
-/// `fault` key is emitted only when a campaign was active, so fault-free
-/// reports stay byte-identical to reports from before the fault layer
-/// existed (the golden suite pins this).
+/// Serialization is hand-written (not derived) for one reason: each
+/// optional section's key is emitted only while its lever is on, so a
+/// report with the lever off stays byte-identical to reports from before
+/// the lever existed (the golden suite pins this).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// Requests in the trace.
@@ -362,24 +494,7 @@ impl Serialize for ServeReport {
             ("setup_s".into(), self.setup_s.to_value()),
             ("answers_digest".into(), self.answers_digest.to_value()),
         ];
-        if self.fault.enabled {
-            pairs.push(("fault".into(), self.fault.to_value()));
-        }
-        if self.numeric.enabled {
-            pairs.push(("numeric".into(), self.numeric.to_value()));
-        }
-        if self.batch.enabled {
-            pairs.push(("batch".into(), self.batch.to_value()));
-        }
-        if self.prune.enabled {
-            pairs.push(("prune".into(), self.prune.to_value()));
-        }
-        if self.index.enabled {
-            pairs.push(("index".into(), self.index.to_value()));
-        }
-        if self.durability.enabled {
-            pairs.push(("durability".into(), self.durability.to_value()));
-        }
+        push_sections(&mut pairs, &self.sections());
         if self.fail_stopped {
             pairs.push(("fail_stopped".into(), self.fail_stopped.to_value()));
         }
@@ -407,39 +522,30 @@ impl Deserialize for ServeReport {
             total_energy_j: Deserialize::from_value(v.field("total_energy_j")?)?,
             setup_s: Deserialize::from_value(v.field("setup_s")?)?,
             answers_digest: Deserialize::from_value(v.field("answers_digest")?)?,
-            fault: match v.field("fault") {
-                Ok(fv) => Deserialize::from_value(fv)?,
-                Err(_) => FaultReport::default(),
-            },
-            numeric: match v.field("numeric") {
-                Ok(nv) => Deserialize::from_value(nv)?,
-                Err(_) => NumericHealth::default(),
-            },
-            batch: match v.field("batch") {
-                Ok(bv) => Deserialize::from_value(bv)?,
-                Err(_) => BatchReport::default(),
-            },
-            prune: match v.field("prune") {
-                Ok(pv) => Deserialize::from_value(pv)?,
-                Err(_) => HopPruneReport::default(),
-            },
-            index: match v.field("index") {
-                Ok(iv) => Deserialize::from_value(iv)?,
-                Err(_) => IndexReport::default(),
-            },
-            durability: match v.field("durability") {
-                Ok(dv) => Deserialize::from_value(dv)?,
-                Err(_) => DurabilityReport::default(),
-            },
-            fail_stopped: match v.field("fail_stopped") {
-                Ok(fv) => Deserialize::from_value(fv)?,
-                Err(_) => false,
-            },
+            fault: field_or_default(v, "fault")?,
+            numeric: field_or_default(v, "numeric")?,
+            batch: field_or_default(v, "batch")?,
+            prune: field_or_default(v, "prune")?,
+            index: field_or_default(v, "index")?,
+            durability: field_or_default(v, "durability")?,
+            fail_stopped: field_or_default(v, "fail_stopped")?,
         })
     }
 }
 
 impl ServeReport {
+    /// The optional sections, keyed, in report order.
+    fn sections(&self) -> [KeyedSection<'_>; 6] {
+        optional_sections(
+            &self.fault,
+            &self.numeric,
+            &self.batch,
+            &self.prune,
+            &self.index,
+            &self.durability,
+        )
+    }
+
     /// Sum of per-instance busy seconds.
     pub fn total_busy_s(&self) -> f64 {
         self.instances.iter().map(|i| i.busy_s).sum()
@@ -532,30 +638,7 @@ impl ServeReport {
         t.row(vec!["answers digest".into(), self.answers_digest.clone()]);
         out.push_str(&t.render());
         out.push('\n');
-        if self.fault.enabled {
-            out.push_str(&self.fault.render());
-            out.push('\n');
-        }
-        if self.numeric.enabled {
-            out.push_str(&self.numeric.render());
-            out.push('\n');
-        }
-        if self.batch.enabled {
-            out.push_str(&self.batch.render());
-            out.push('\n');
-        }
-        if self.prune.enabled {
-            out.push_str(&self.prune.render());
-            out.push('\n');
-        }
-        if self.index.enabled {
-            out.push_str(&self.index.render());
-            out.push('\n');
-        }
-        if self.durability.enabled {
-            out.push_str(&self.durability.render());
-            out.push('\n');
-        }
+        render_sections(&mut out, &self.sections());
         let mut inst = TextTable::new(vec![
             "instance".into(),
             "completed".into(),

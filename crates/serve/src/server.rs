@@ -34,12 +34,14 @@
 //!   execute; a cache hit changes *when and where* a story is written,
 //!   never what the inference computes.
 
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use mann_core::TaskSuite;
 use mann_hw::{
-    story_digest, AccelConfig, Accelerator, ClockDomain, Cycles, InferenceRun, LinkArbiter, LruSet,
-    MemIndexConfig, PcieLink, PowerModel, ResidentStory, SimTime, DEFAULT_STORY_CACHE,
+    story_digest, AccelConfig, Accelerator, Admission, ClockDomain, Cycles, InferenceRun,
+    LinkArbiter, LruSet, MemIndexConfig, PcieLink, PowerModel, ResidentStory, SimTime,
+    DEFAULT_STORY_CACHE,
 };
 use mann_ith::HopPrune;
 use mann_store::WalRecord;
@@ -48,8 +50,8 @@ use serde::{Deserialize, Serialize};
 use crate::faults::{FaultConfig, FaultPlan, FaultReport};
 use crate::numeric::{NumericHealth, NumericPolicy};
 use crate::report::{
-    answers_digest, BatchReport, CacheReport, HopPruneReport, IndexReport, InstanceReport,
-    LatencySummary, LinkReport, ServeReport,
+    BatchReport, CacheReport, CompletionStats, HopPruneReport, IndexReport, InstanceReport,
+    LinkReport, ServeReport,
 };
 use crate::request::{Completion, Export, Rejection, Request, RequestTimestamps};
 use crate::scheduler::{InstanceView, Scheduler};
@@ -260,6 +262,15 @@ impl ServeConfig {
         }
         Ok(())
     }
+
+    /// Activity-dependent fabric energy of `cycles` at the configured
+    /// clock, joules.
+    pub(crate) fn active_energy_j(&self, cycles: u64) -> f64 {
+        self.power.active_energy_j(
+            self.clock.freq_mhz(),
+            self.clock.seconds(Cycles::new(cycles)),
+        )
+    }
 }
 
 /// Everything a served trace produces.
@@ -294,20 +305,18 @@ pub struct ServeOutcome {
 #[derive(Debug)]
 pub struct Server<'a> {
     suite: &'a TaskSuite,
-    accels: Vec<Accelerator>,
-    /// Aggressive-ITH loadouts for degraded-mode answers; empty unless
-    /// the fault campaign enables overload degradation.
-    deg_accels: Vec<Accelerator>,
+    /// One accelerator per task for each loadout form, indexed by
+    /// `usize::from(degraded)`: `forms[0]` is the configured loadout;
+    /// `forms[1]`, present only when the fault campaign enables overload
+    /// degradation, forces ITH on with every threshold lowered by the
+    /// degrade margin — earlier early-exit, cheaper, less accurate.
+    forms: Vec<Vec<Accelerator>>,
     config: ServeConfig,
 }
 
-/// Event-queue entry; total order = (time, scheduling sequence).
-struct Entry {
-    time: SimTime,
-    seq: u64,
-    event: Event,
-}
-
+// Ordered only so it can ride in the agenda's heap tuple: sequence
+// numbers are unique, so two entries never compare their events.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     Arrival(usize),
     LinkDone(u64),
@@ -328,21 +337,26 @@ enum Event {
     FailStop,
 }
 
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
+/// The pending-event queue, earliest `(time, seq)` first. Its
+/// [`Agenda::schedule`] is the only code that assigns sequence numbers, so
+/// the tie-break among simultaneous events — and with it every report
+/// byte — is decided in one place.
+#[derive(Default)]
+struct Agenda {
+    heap: BinaryHeap<Reverse<(SimTime, u64, Event)>>,
+    seq: u64,
 }
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+impl Agenda {
+    fn schedule(&mut self, time: SimTime, event: Event) {
+        self.heap.push(Reverse((time, self.seq, event)));
+        self.seq += 1;
     }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; reverse for earliest-first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+
+    fn next(&mut self) -> Option<(SimTime, Event)> {
+        self.heap
+            .pop()
+            .map(|Reverse((time, _, event))| (time, event))
     }
 }
 
@@ -357,6 +371,15 @@ enum LinkJob {
     Drain {
         req: usize,
     },
+}
+
+/// A submitted link transfer and its retry state.
+struct Job {
+    kind: LinkJob,
+    /// Retransmissions so far.
+    attempts: u32,
+    /// First CRC failure, for the link MTTR.
+    first_fail: Option<SimTime>,
 }
 
 #[derive(Debug, Default, Clone)]
@@ -376,6 +399,72 @@ struct Inst {
     epoch: u64,
 }
 
+impl Inst {
+    /// Kills the instance at `now`: rolls back the busy time of the
+    /// unfinished compute (it never happened), drops FIFO'd work and
+    /// starts a new epoch so every event of the old one is stale.
+    fn kill(&mut self, now: SimTime) {
+        let unfinished = self.free_at.saturating_sub(now);
+        self.busy = self.busy.saturating_sub(unfinished);
+        self.free_at = now;
+        self.computing.clear();
+        self.ready.clear();
+        self.inflight = 0;
+        self.down = true;
+        self.epoch += 1;
+    }
+}
+
+/// `Lifecycle::assigned` of a request not dispatched (or failed back to
+/// the queue).
+const UNASSIGNED: usize = usize::MAX;
+
+/// One request's progress through the event loop.
+#[derive(Debug, Clone, Default)]
+struct Lifecycle {
+    ts: RequestTimestamps,
+    /// Instance of the latest dispatch, or [`UNASSIGNED`].
+    assigned: usize,
+    /// That instance's crash epoch at dispatch.
+    dispatch_epoch: u64,
+    /// The story was resident at the latest dispatch.
+    hit: bool,
+    /// Admitted past the degrade depth: answered by the degraded form.
+    degraded: bool,
+    /// Compute finished.
+    computed: bool,
+    /// This node is finished with the request (drained, shed or exported).
+    done: bool,
+    shed: bool,
+    /// Handoff time of a request exported for cross-shard failover.
+    exported: Option<SimTime>,
+    watchdog_armed: bool,
+    /// Scrub instant of the poisoned story this request's upload repairs.
+    seu_pending: Option<SimTime>,
+}
+
+/// Sum and count of one fault class's recovery intervals.
+#[derive(Debug, Default, Clone, Copy)]
+struct Mttr {
+    sum: SimTime,
+    count: u64,
+}
+
+impl Mttr {
+    fn record(&mut self, since: SimTime, now: SimTime) {
+        self.sum += now.saturating_sub(since);
+        self.count += 1;
+    }
+
+    fn mean_s(self) -> f64 {
+        if self.count > 0 {
+            self.sum.as_s() / self.count as f64
+        } else {
+            0.0
+        }
+    }
+}
+
 /// Per-request numeric results, shared by both engines.
 struct NumericPhase {
     /// One entry per distinct `(task, story)` pair, in first-seen order.
@@ -384,20 +473,120 @@ struct NumericPhase {
     story_of: Vec<usize>,
     /// Scheduling key of each request (task-mixed story digest).
     keys: Vec<u64>,
-    /// Hit-form query run of each request.
-    queries: Vec<InferenceRun>,
-    /// Miss-form (full) run of each request; equals `Accelerator::run`.
-    miss_runs: Vec<InferenceRun>,
-    hit_durations: Vec<SimTime>,
-    miss_durations: Vec<SimTime>,
+    /// Distinct-query index of each request: the same `(task, sample)`
+    /// is the same inference.
+    query_of: Vec<usize>,
+    /// `runs[form][q]`: distinct query `q` on loadout form `form` (see
+    /// [`Server::forms`]) as `(hit, miss)` — the query alone against the
+    /// resident story, and the full run that writes the story first
+    /// (equal to `Accelerator::run`).
+    runs: Vec<Vec<(InferenceRun, InferenceRun)>>,
     hit_bytes: Vec<u64>,
     miss_bytes: Vec<u64>,
-    /// Aggressive-ITH forms of `queries`/`miss_runs` and their compute
-    /// times; empty unless the campaign enables overload degradation.
-    deg_queries: Vec<InferenceRun>,
-    deg_miss_runs: Vec<InferenceRun>,
-    deg_hit_durations: Vec<SimTime>,
-    deg_miss_durations: Vec<SimTime>,
+}
+
+impl NumericPhase {
+    /// The run request `r` resolves to on its loadout form, given whether
+    /// its story was resident on the instance it was dispatched to.
+    fn run(&self, r: usize, degraded: bool, hit: bool) -> &InferenceRun {
+        let (h, m) = &self.runs[usize::from(degraded)][self.query_of[r]];
+        if hit {
+            h
+        } else {
+            m
+        }
+    }
+}
+
+/// Groups items by key in first-seen order: returns the index of each
+/// group's first item and the group of every item.
+fn first_seen<K: std::hash::Hash + Eq>(keys: impl Iterator<Item = K>) -> (Vec<usize>, Vec<usize>) {
+    let mut group_of_key: HashMap<K, usize> = HashMap::new();
+    let mut firsts = Vec::new();
+    let groups = keys
+        .enumerate()
+        .map(|(i, key)| {
+            *group_of_key.entry(key).or_insert_with(|| {
+                firsts.push(i);
+                firsts.len() - 1
+            })
+        })
+        .collect();
+    (firsts, groups)
+}
+
+/// The durable journal of one serve (only with `wal.enabled`).
+struct Journal {
+    records: Vec<WalRecord>,
+    /// Evictions come back from the LRU as cache keys; each key maps to
+    /// its `(digest, task)` pair. The key is digest ^ task·MIX, so the map
+    /// is total over everything the trace can admit.
+    key_meta: HashMap<u64, (u64, u32)>,
+    /// Quantized rows are identical for every request of a story —
+    /// extracted once per story id, lazily, only for journaled misses.
+    rows: Vec<Option<Vec<i32>>>,
+}
+
+impl Journal {
+    fn new(trace: &ArrivalTrace, num: &NumericPhase) -> Self {
+        let key_meta = trace
+            .requests
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let digest = num.stories[num.story_of[i]].digest();
+                (num.keys[i], (digest, r.task_idx as u32))
+            })
+            .collect();
+        Self {
+            records: Vec::new(),
+            key_meta,
+            rows: vec![None; num.stories.len()],
+        }
+    }
+
+    /// Journals one dispatch's cache admission: the eviction it caused,
+    /// and the story write when it missed.
+    fn admit(
+        &mut self,
+        admission: &Admission,
+        story: &ResidentStory,
+        sid: usize,
+        task: u32,
+        now: SimTime,
+    ) {
+        if let Some(k) = admission.evicted {
+            let (d, t) = self.key_meta[&k];
+            self.records.push(WalRecord::evict(d, t, now.ps()));
+        }
+        if !admission.hit {
+            let rows = self.rows[sid]
+                .get_or_insert_with(|| story.quantized_rows())
+                .clone();
+            self.records
+                .push(WalRecord::story(story.digest(), task, now.ps(), rows));
+        }
+    }
+
+    /// Journals the completions — only after the numeric policy has
+    /// settled the final answers, so replaying the WAL reproduces exactly
+    /// what was served — and returns the journal in canonical order, a
+    /// pure function of (suite, trace, config), independent of engine and
+    /// threads.
+    fn finish(mut self, completions: &[Completion]) -> Vec<WalRecord> {
+        for c in completions {
+            self.records.push(WalRecord::completion(
+                c.request.id,
+                c.run.answer as u32,
+                c.timestamps.drain_end.ps(),
+            ));
+        }
+        self.records.sort_by(|a, b| {
+            (a.stamp_ps, a.kind, a.id, a.task, a.digest)
+                .cmp(&(b.stamp_ps, b.kind, b.id, b.task, b.digest))
+        });
+        self.records
+    }
 }
 
 impl<'a> Server<'a> {
@@ -411,54 +600,38 @@ impl<'a> Server<'a> {
             .validate()
             .unwrap_or_else(|e| panic!("invalid serve config: {e}"));
         assert!(!suite.tasks.is_empty(), "server needs at least one task");
-        let accels = suite
-            .tasks
+        let forms = [false, true][..1 + usize::from(config.faults.degrade_depth > 0)]
             .iter()
-            .map(|t| {
-                Accelerator::new(
-                    t.model.clone(),
-                    AccelConfig {
-                        clock: config.clock,
-                        pcie: config.pcie,
-                        power: config.power,
-                        ith: config.use_ith.then(|| t.ith.clone()),
-                        use_ordering: config.use_ordering,
-                        hop_prune: config.hop_prune,
-                        mem_index: config.mem_index,
-                        ..AccelConfig::default()
-                    },
-                )
+            .map(|&degraded| {
+                suite
+                    .tasks
+                    .iter()
+                    .map(|t| {
+                        let ith = if degraded {
+                            Some(t.ith.degraded(config.faults.degrade_margin))
+                        } else {
+                            config.use_ith.then(|| t.ith.clone())
+                        };
+                        Accelerator::new(
+                            t.model.clone(),
+                            AccelConfig {
+                                clock: config.clock,
+                                pcie: config.pcie,
+                                power: config.power,
+                                ith,
+                                use_ordering: config.use_ordering,
+                                hop_prune: config.hop_prune,
+                                mem_index: config.mem_index,
+                                ..AccelConfig::default()
+                            },
+                        )
+                    })
+                    .collect()
             })
             .collect();
-        // Degraded mode forces ITH on with every threshold lowered by the
-        // configured margin — earlier early-exit, cheaper, less accurate.
-        let deg_accels = if config.faults.degrade_depth > 0 {
-            suite
-                .tasks
-                .iter()
-                .map(|t| {
-                    Accelerator::new(
-                        t.model.clone(),
-                        AccelConfig {
-                            clock: config.clock,
-                            pcie: config.pcie,
-                            power: config.power,
-                            ith: Some(t.ith.degraded(config.faults.degrade_margin)),
-                            use_ordering: config.use_ordering,
-                            hop_prune: config.hop_prune,
-                            mem_index: config.mem_index,
-                            ..AccelConfig::default()
-                        },
-                    )
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         Self {
             suite,
-            accels,
-            deg_accels,
+            forms,
             config,
         }
     }
@@ -470,15 +643,14 @@ impl<'a> Server<'a> {
 
     /// The accelerator loadout for tenant `task_idx`.
     pub fn accelerator(&self, task_idx: usize) -> &Accelerator {
-        &self.accels[task_idx]
+        &self.forms[0][task_idx]
     }
 
     /// One-time cost of shipping every tenant's weights to every instance
     /// over the (serial) link — paid before traffic starts, reported as
     /// `setup_s`, not folded into per-request latency.
     pub fn setup_time_s(&self) -> f64 {
-        let per_instance: f64 = self
-            .accels
+        let per_instance: f64 = self.forms[0]
             .iter()
             .map(|a| self.config.pcie.model_upload_time_s(a.model_bytes()))
             .sum();
@@ -489,28 +661,23 @@ impl<'a> Server<'a> {
         &self.suite.tasks[req.task_idx].test_set[req.sample_idx]
     }
 
-    /// Simulates every distinct story once and every query once, per the
-    /// configured engine. Output is index-ordered and engine-invariant.
+    /// Simulates every distinct story once and every query once per
+    /// loadout form, per the configured engine. Output is index-ordered
+    /// and engine-invariant.
     fn numeric_phase(&self, trace: &ArrivalTrace) -> NumericPhase {
         let n = trace.requests.len();
-
-        // Group requests by (task, story digest), first-seen order.
-        let mut story_ids: HashMap<(usize, u64), usize> = HashMap::new();
-        let mut story_req: Vec<usize> = Vec::new();
-        let mut story_of = Vec::with_capacity(n);
-        let mut keys = Vec::with_capacity(n);
-        for (i, r) in trace.requests.iter().enumerate() {
-            let digest = story_digest(self.sample_of(r));
-            // Mix the tenant index in so equal digests of different tasks
-            // (different embeddings!) never alias in the residency model.
-            keys.push(digest ^ (r.task_idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            let next = story_req.len();
-            let sid = *story_ids.entry((r.task_idx, digest)).or_insert_with(|| {
-                story_req.push(i);
-                next
-            });
-            story_of.push(sid);
-        }
+        let requests = || trace.requests.iter();
+        let digests: Vec<u64> = requests()
+            .map(|r| story_digest(self.sample_of(r)))
+            .collect();
+        // Mix the tenant index in so equal digests of different tasks
+        // (different embeddings!) never alias in the residency model.
+        let keys = requests()
+            .zip(&digests)
+            .map(|(r, d)| d ^ (r.task_idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .collect();
+        let (story_req, story_of) =
+            first_seen(requests().zip(&digests).map(|(r, &d)| (r.task_idx, d)));
 
         let workers = match self.config.engine {
             EngineMode::Serial => 1,
@@ -519,122 +686,54 @@ impl<'a> Server<'a> {
         let stories: Vec<ResidentStory> =
             mann_core::parallel::parallel_map_indexed(story_req.len(), workers, |s| {
                 let r = &trace.requests[story_req[s]];
-                self.accels[r.task_idx].write_story(self.sample_of(r))
+                self.forms[0][r.task_idx].write_story(self.sample_of(r))
             });
         // Identical requests — same (task, sample) — are bit-identical
         // inferences, so each distinct pair is simulated once and shared.
         // Repeated-story traces collapse to a handful of query runs.
-        let mut query_ids: HashMap<(usize, usize), usize> = HashMap::new();
-        let mut query_req: Vec<usize> = Vec::new();
-        let mut query_of: Vec<usize> = Vec::with_capacity(n);
-        for (i, r) in trace.requests.iter().enumerate() {
-            let next = query_req.len();
-            let qid = *query_ids
-                .entry((r.task_idx, r.sample_idx))
-                .or_insert_with(|| {
-                    query_req.push(i);
-                    next
-                });
-            query_of.push(qid);
-        }
-        let unique_queries: Vec<InferenceRun> =
-            mann_core::parallel::parallel_map_indexed(query_req.len(), workers, |u| {
-                let i = query_req[u];
-                let r = &trace.requests[i];
-                self.accels[r.task_idx].answer_query(&stories[story_of[i]], self.sample_of(r))
-            });
-        let unique_misses: Vec<InferenceRun> = query_req
+        let (query_req, query_of) = first_seen(requests().map(|r| (r.task_idx, r.sample_idx)));
+        let runs = self
+            .forms
             .iter()
-            .enumerate()
-            .map(|(u, &i)| {
-                let r = &trace.requests[i];
-                self.accels[r.task_idx].compose_uncached(
-                    &stories[story_of[i]],
-                    &unique_queries[u],
-                    self.sample_of(r),
-                )
+            .map(|accels| {
+                let hits: Vec<InferenceRun> =
+                    mann_core::parallel::parallel_map_indexed(query_req.len(), workers, |u| {
+                        let i = query_req[u];
+                        let r = &trace.requests[i];
+                        accels[r.task_idx].answer_query(&stories[story_of[i]], self.sample_of(r))
+                    });
+                hits.into_iter()
+                    .zip(&query_req)
+                    .map(|(hit, &i)| {
+                        let r = &trace.requests[i];
+                        let miss = accels[r.task_idx].compose_uncached(
+                            &stories[story_of[i]],
+                            &hit,
+                            self.sample_of(r),
+                        );
+                        (hit, miss)
+                    })
+                    .collect()
             })
             .collect();
-        let queries: Vec<InferenceRun> = query_of
-            .iter()
-            .map(|&q| unique_queries[q].clone())
-            .collect();
-        let miss_runs: Vec<InferenceRun> =
-            query_of.iter().map(|&q| unique_misses[q].clone()).collect();
 
-        // Degraded (aggressive-ITH) forms, simulated through the same
-        // dedup so the phase stays engine- and thread-invariant.
-        let (deg_queries, deg_miss_runs) = if self.deg_accels.is_empty() {
-            (Vec::new(), Vec::new())
-        } else {
-            let unique_deg: Vec<InferenceRun> =
-                mann_core::parallel::parallel_map_indexed(query_req.len(), workers, |u| {
-                    let i = query_req[u];
-                    let r = &trace.requests[i];
-                    self.deg_accels[r.task_idx]
-                        .answer_query(&stories[story_of[i]], self.sample_of(r))
-                });
-            let unique_deg_misses: Vec<InferenceRun> = query_req
-                .iter()
-                .enumerate()
-                .map(|(u, &i)| {
-                    let r = &trace.requests[i];
-                    self.deg_accels[r.task_idx].compose_uncached(
-                        &stories[story_of[i]],
-                        &unique_deg[u],
-                        self.sample_of(r),
-                    )
-                })
-                .collect();
-            (
-                query_of.iter().map(|&q| unique_deg[q].clone()).collect(),
-                query_of
-                    .iter()
-                    .map(|&q| unique_deg_misses[q].clone())
-                    .collect(),
-            )
-        };
-
-        let hit_durations = queries
-            .iter()
-            .map(|q| q.compute_time(self.config.clock))
-            .collect();
-        let miss_durations = miss_runs
-            .iter()
-            .map(|m| m.compute_time(self.config.clock))
-            .collect();
-        let deg_hit_durations = deg_queries
-            .iter()
-            .map(|q| q.compute_time(self.config.clock))
-            .collect();
-        let deg_miss_durations = deg_miss_runs
-            .iter()
-            .map(|m| m.compute_time(self.config.clock))
-            .collect();
-        let hit_bytes = trace
-            .requests
-            .iter()
-            .map(|r| PcieLink::input_bytes(Accelerator::query_words(self.sample_of(r))))
-            .collect();
-        let miss_bytes = trace
-            .requests
-            .iter()
-            .map(|r| PcieLink::input_bytes(Accelerator::input_words(self.sample_of(r))))
-            .collect();
+        let (hit_bytes, miss_bytes) = requests()
+            .map(|r| {
+                let sample = self.sample_of(r);
+                (
+                    PcieLink::input_bytes(Accelerator::query_words(sample)),
+                    PcieLink::input_bytes(Accelerator::input_words(sample)),
+                )
+            })
+            .unzip();
         NumericPhase {
             stories,
             story_of,
             keys,
-            queries,
-            miss_runs,
-            hit_durations,
-            miss_durations,
+            query_of,
+            runs,
             hit_bytes,
             miss_bytes,
-            deg_queries,
-            deg_miss_runs,
-            deg_hit_durations,
-            deg_miss_durations,
         }
     }
 
@@ -645,7 +744,6 @@ impl<'a> Server<'a> {
     ///
     /// Panics if a request references a task or sample outside the suite.
     pub fn serve(&self, trace: &ArrivalTrace) -> ServeOutcome {
-        let n = trace.requests.len();
         for r in &trace.requests {
             assert!(
                 r.task_idx < self.suite.tasks.len(),
@@ -658,786 +756,7 @@ impl<'a> Server<'a> {
                 r.id
             );
         }
-
-        // ----- numeric phase (engine-dependent, order-preserving) --------
-        let num = self.numeric_phase(trace);
-
-        // ----- fault plan (None = untouched serve path) ------------------
-        let plan: Option<FaultPlan> = self.config.faults.is_active().then(|| {
-            FaultPlan::materialize(&self.config.faults, trace.span(), self.config.instances)
-                .unwrap_or_else(|e| panic!("invalid fault plan: {e}"))
-        });
-
-        // ----- event loop (sequential, integer time) --------------------
-        let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
-        let mut seq = 0u64;
-        for (i, r) in trace.requests.iter().enumerate() {
-            heap.push(Entry {
-                time: r.arrival,
-                seq,
-                event: Event::Arrival(i),
-            });
-            seq += 1;
-        }
-        // Fault events go on the heap after the arrivals so a zero-fault
-        // campaign consumes exactly the same sequence numbers as no
-        // campaign at all (byte-identity with the fault layer compiled in).
-        if let Some(p) = &plan {
-            for (k, &(t, _)) in p.crash_events().iter().enumerate() {
-                heap.push(Entry {
-                    time: t,
-                    seq,
-                    event: Event::Crash(k),
-                });
-                seq += 1;
-            }
-            for (k, &(t, _, _)) in p.seu_events().iter().enumerate() {
-                heap.push(Entry {
-                    time: t,
-                    seq,
-                    event: Event::Seu(k),
-                });
-                seq += 1;
-            }
-        }
-        // The membership fail-stop goes on last for the same reason: a
-        // `None` cut consumes no sequence numbers at all. Arrivals at the
-        // cut instant still carry earlier seqs, so they are admitted (and
-        // then stranded) deterministically.
-        if let Some(t) = self.config.fail_stop {
-            heap.push(Entry {
-                time: t,
-                seq,
-                event: Event::FailStop,
-            });
-            seq += 1;
-        }
-
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let mut insts = vec![Inst::default(); self.config.instances];
-        let mut residency = vec![LruSet::new(self.config.story_cache); self.config.instances];
-        let mut arb = LinkArbiter::new(self.config.pcie);
-        let mut jobs: Vec<LinkJob> = Vec::new();
-        let mut scheduler = Scheduler::new(self.config.policy);
-        let mut ts = vec![RequestTimestamps::default(); n];
-        let mut assigned = vec![usize::MAX; n];
-        let mut hit = vec![false; n];
-        let mut durations = vec![SimTime::ZERO; n];
-        let mut rejections: Vec<Rejection> = Vec::new();
-        let mut max_queue_depth = 0usize;
-        let mut last_drain = SimTime::ZERO;
-        let mut write_cycles_saved = 0u64;
-        let mut upload_bytes_saved = 0u64;
-
-        // ----- batched-compute accounting (inert with window 0/1) --------
-        let batch_window = self.config.batch_window.max(1);
-        let mut batch_groups = 0u64;
-        let mut batch_fused = 0u64;
-        let mut batched_requests = 0u64;
-        let mut batch_hist: Vec<u64> = Vec::new();
-        let mut batch_cycles_saved = 0u64;
-
-        // ----- fault-campaign state (inert without a plan) ---------------
-        let mut fr = FaultReport::default();
-        // Per-request lifecycle flags.
-        let mut done = vec![false; n];
-        let mut shed = vec![false; n];
-        let mut computed = vec![false; n];
-        let mut deg = vec![false; n];
-        let mut wd_armed = vec![false; n];
-        let mut exported: Vec<Option<SimTime>> = vec![None; n];
-        let mut dispatch_epoch = vec![0u64; n];
-        let mut seu_pending: Vec<Option<SimTime>> = vec![None; n];
-        // Per-link-job retry state (parallel to `jobs`).
-        let mut attempts: Vec<u32> = Vec::new();
-        let mut first_fail: Vec<Option<SimTime>> = Vec::new();
-        // Crash instants by (instance, pre-crash epoch), for MTTR.
-        let mut crash_at: HashMap<(usize, u64), SimTime> = HashMap::new();
-        let mut mttr_link = (SimTime::ZERO, 0u64);
-        let mut mttr_inst = (SimTime::ZERO, 0u64);
-        let mut mttr_seu = (SimTime::ZERO, 0u64);
-
-        // ----- durable journal (inert unless wal.enabled) ----------------
-        let journal_on = self.config.wal.enabled;
-        let mut wal_records: Vec<WalRecord> = Vec::new();
-        // Evictions come back from the LRU as cache keys; map each key to
-        // its (digest, task) pair for the journal. The key is
-        // digest ^ task·MIX, so the map is total over everything this
-        // trace can admit.
-        let mut key_meta: HashMap<u64, (u64, u32)> = HashMap::new();
-        // Quantized rows are identical for every request of a story —
-        // extract once per story id, lazily, only for journaled misses.
-        let mut wal_rows: Vec<Option<Vec<i32>>> = Vec::new();
-        if journal_on {
-            wal_rows.resize(num.stories.len(), None);
-            for (i, r) in trace.requests.iter().enumerate() {
-                key_meta.insert(
-                    num.keys[i],
-                    (num.stories[num.story_of[i]].digest(), r.task_idx as u32),
-                );
-            }
-        }
-
-        // Moves as many queued requests as credits allow onto the link.
-        // Residency (hit or miss) is decided here, per dispatched request,
-        // because it depends on the chosen instance's cache state.
-        macro_rules! dispatch {
-            ($now:expr) => {
-                loop {
-                    let Some(&head) = queue.front() else {
-                        break;
-                    };
-                    let views: Vec<InstanceView> = insts
-                        .iter()
-                        .zip(&residency)
-                        .map(|(inst, res)| InstanceView {
-                            inflight: inst.inflight,
-                            // A crashed instance advertises no credits, so
-                            // the (unchanged) scheduler never picks it.
-                            credits: if inst.down {
-                                0
-                            } else {
-                                self.config.inflight_limit - inst.inflight
-                            },
-                            free_at: inst.free_at,
-                            resident: res.contains(num.keys[head]),
-                        })
-                        .collect();
-                    let Some(target) = scheduler.pick(&views) else {
-                        break;
-                    };
-                    let credits = self.config.inflight_limit - insts[target].inflight;
-                    let take = credits.min(self.config.upload_batch).min(queue.len());
-                    let reqs: Vec<usize> = queue.drain(..take).collect();
-                    let mut bytes = 0u64;
-                    for &r in &reqs {
-                        let admission = residency[target].admit(num.keys[r]);
-                        hit[r] = admission.hit;
-                        if journal_on {
-                            if let Some(k) = admission.evicted {
-                                let (d, t) = key_meta[&k];
-                                wal_records.push(WalRecord::evict(d, t, $now.ps()));
-                            }
-                            if !admission.hit {
-                                let sid = num.story_of[r];
-                                let rows = wal_rows[sid]
-                                    .get_or_insert_with(|| num.stories[sid].quantized_rows())
-                                    .clone();
-                                wal_records.push(WalRecord::story(
-                                    num.stories[sid].digest(),
-                                    trace.requests[r].task_idx as u32,
-                                    $now.ps(),
-                                    rows,
-                                ));
-                            }
-                        }
-                        if admission.scrubbed {
-                            // A poisoned resident story: the digest check
-                            // caught it, so this dispatch pays a full
-                            // re-write (miss form) to repair it.
-                            fr.scrubs += 1;
-                            fr.scrub_cycles += num.stories[num.story_of[r]].phases().total().get();
-                            seu_pending[r] = Some($now);
-                        }
-                        if admission.hit {
-                            insts[target].cache_hits += 1;
-                            write_cycles_saved +=
-                                num.stories[num.story_of[r]].phases().total().get();
-                            upload_bytes_saved += num.miss_bytes[r] - num.hit_bytes[r];
-                            bytes += num.hit_bytes[r];
-                            durations[r] = if deg[r] {
-                                num.deg_hit_durations[r]
-                            } else {
-                                num.hit_durations[r]
-                            };
-                        } else {
-                            bytes += num.miss_bytes[r];
-                            durations[r] = if deg[r] {
-                                num.deg_miss_durations[r]
-                            } else {
-                                num.miss_durations[r]
-                            };
-                        }
-                        ts[r].dispatch = $now;
-                        assigned[r] = target;
-                        dispatch_epoch[r] = insts[target].epoch;
-                        if let Some(p) = &plan {
-                            let wd = p.config().watchdog_s;
-                            if wd > 0.0 && !wd_armed[r] {
-                                wd_armed[r] = true;
-                                heap.push(Entry {
-                                    time: $now + SimTime::from_s(wd),
-                                    seq,
-                                    event: Event::Watchdog(r),
-                                });
-                                seq += 1;
-                            }
-                        }
-                    }
-                    insts[target].inflight += take;
-                    let id = jobs.len() as u64;
-                    jobs.push(LinkJob::Upload {
-                        instance: target,
-                        reqs,
-                        epoch: insts[target].epoch,
-                    });
-                    attempts.push(0);
-                    first_fail.push(None);
-                    arb.submit(id, bytes, take);
-                }
-            };
-        }
-
-        // Grants the head link job if the link is idle.
-        macro_rules! grant {
-            ($now:expr) => {
-                if let Some(g) = arb.try_grant($now) {
-                    match &jobs[g.id as usize] {
-                        LinkJob::Upload { reqs, .. } => {
-                            for &r in reqs {
-                                ts[r].upload_start = g.start;
-                            }
-                        }
-                        LinkJob::Drain { req } => ts[*req].drain_start = g.start,
-                    }
-                    heap.push(Entry {
-                        time: g.end,
-                        seq,
-                        event: Event::LinkDone(g.id),
-                    });
-                    seq += 1;
-                }
-            };
-        }
-
-        // The numeric-phase run a request resolves to at compute time.
-        // A macro (not a closure) so it can borrow `num` alongside the
-        // mutable lifecycle state held by the enclosing loop.
-        macro_rules! run_of {
-            ($r:expr) => {
-                match (hit[$r], deg[$r]) {
-                    (true, false) => &num.queries[$r],
-                    (false, false) => &num.miss_runs[$r],
-                    (true, true) => &num.deg_queries[$r],
-                    (false, true) => &num.deg_miss_runs[$r],
-                }
-            };
-        }
-
-        // Starts the next ready request if the instance's fabric is idle.
-        // With a batch window > 1, the head request additionally drains
-        // every FIFO'd request on the *same resident story* (up to the
-        // window) into one fused compute group: the shared per-hop memory
-        // stream and the shared output-search stream are paid once instead
-        // of once per query, so the fused duration is the sum of the
-        // per-query durations minus the deduplicated stream cycles.
-        macro_rules! start_compute {
-            ($i:expr, $now:expr) => {
-                if insts[$i].computing.is_empty() {
-                    if let Some(r) = insts[$i].ready.pop_front() {
-                        let mut group = vec![r];
-                        if batch_window > 1 {
-                            let mut rest = VecDeque::new();
-                            while let Some(q) = insts[$i].ready.pop_front() {
-                                if group.len() < batch_window && num.keys[q] == num.keys[r] {
-                                    group.push(q);
-                                } else {
-                                    rest.push_back(q);
-                                }
-                            }
-                            insts[$i].ready = rest;
-                            batch_groups += 1;
-                            batched_requests += group.len() as u64;
-                            if batch_hist.len() < group.len() {
-                                batch_hist.resize(group.len(), 0);
-                            }
-                            batch_hist[group.len() - 1] += 1;
-                        }
-                        let mut total = SimTime::ZERO;
-                        for &q in &group {
-                            ts[q].compute_start = $now;
-                            total += durations[q];
-                        }
-                        let fused = if group.len() > 1 {
-                            batch_fused += 1;
-                            // Same story => same per-hop stream cost; the
-                            // batch pays max(hops) streams instead of
-                            // sum(hops), and one output row stream instead
-                            // of one per query.
-                            let stream = run_of!(r).mem_stream_per_hop;
-                            let hops: u64 =
-                                group.iter().map(|&q| run_of!(q).hops_executed as u64).sum();
-                            let max_hops = group
-                                .iter()
-                                .map(|&q| run_of!(q).hops_executed as u64)
-                                .max()
-                                .unwrap_or(0);
-                            let outs: u64 =
-                                group.iter().map(|&q| run_of!(q).out_stream_cycles).sum();
-                            let max_out = group
-                                .iter()
-                                .map(|&q| run_of!(q).out_stream_cycles)
-                                .max()
-                                .unwrap_or(0);
-                            let saved = stream * (hops - max_hops) + (outs - max_out);
-                            batch_cycles_saved += saved;
-                            total.saturating_sub(self.config.clock.sim_time(Cycles::new(saved)))
-                        } else {
-                            total
-                        };
-                        let end = $now + fused;
-                        insts[$i].free_at = end;
-                        insts[$i].busy += fused;
-                        insts[$i].computing = group;
-                        heap.push(Entry {
-                            time: end,
-                            seq,
-                            event: Event::ComputeDone {
-                                instance: $i,
-                                req: r,
-                                epoch: insts[$i].epoch,
-                            },
-                        });
-                        seq += 1;
-                    }
-                }
-            };
-        }
-
-        let mut halted_at: Option<SimTime> = None;
-        while let Some(Entry {
-            time: now, event, ..
-        }) = heap.pop()
-        {
-            match event {
-                Event::FailStop => {
-                    // Whole-node fail-stop: the fabric, caches and host
-                    // queue vanish at the cut. Roll back every instance's
-                    // unfinished busy time (the killed compute never
-                    // happened, same rule as a crash), then halt — the
-                    // post-loop pass hands everything unfinished back to
-                    // the cluster as exports.
-                    for inst in insts.iter_mut() {
-                        let unfinished = inst.free_at.saturating_sub(now);
-                        inst.busy = inst.busy.saturating_sub(unfinished);
-                        inst.free_at = now;
-                        inst.computing.clear();
-                        inst.ready.clear();
-                        inst.inflight = 0;
-                        inst.down = true;
-                        inst.epoch += 1;
-                    }
-                    halted_at = Some(now);
-                    break;
-                }
-                Event::Arrival(i) => {
-                    if queue.len() >= self.config.queue_capacity {
-                        rejections.push(Rejection {
-                            request: trace.requests[i],
-                            queue_depth: queue.len(),
-                        });
-                        if plan.is_some() {
-                            fr.shed_overload += 1;
-                        }
-                    } else {
-                        ts[i].enqueue = now;
-                        queue.push_back(i);
-                        max_queue_depth = max_queue_depth.max(queue.len());
-                        if let Some(p) = &plan {
-                            // Overload response: past the degrade depth,
-                            // survivors are answered in aggressive-ITH
-                            // degraded mode instead of being shed.
-                            let depth = p.config().degrade_depth;
-                            if depth > 0 && queue.len() >= depth {
-                                deg[i] = true;
-                                fr.degraded += 1;
-                            }
-                        }
-                        dispatch!(now);
-                        grant!(now);
-                    }
-                }
-                Event::LinkDone(id) => {
-                    let idx = id as usize;
-                    let corrupted = plan.as_ref().is_some_and(|p| p.corrupts(id, attempts[idx]));
-                    if corrupted {
-                        let p = plan.as_ref().expect("corruption implies a campaign");
-                        fr.link_corruptions += 1;
-                        if first_fail[idx].is_none() {
-                            first_fail[idx] = Some(now);
-                        }
-                        let attempt = attempts[idx];
-                        if attempt < p.config().max_retries {
-                            // CRC failure: hold the link through backoff and
-                            // replay the whole transfer. Holding (rather than
-                            // completing and resubmitting) keeps the FIFO
-                            // order of every other pending transfer intact.
-                            attempts[idx] += 1;
-                            fr.retransmits += 1;
-                            let g = arb.retransmit(id, now + p.backoff(attempt));
-                            heap.push(Entry {
-                                time: g.end,
-                                seq,
-                                event: Event::LinkDone(id),
-                            });
-                            seq += 1;
-                        } else {
-                            // Retry budget exhausted: payload undeliverable.
-                            fr.retry_exhausted += 1;
-                            arb.complete(id);
-                            match &jobs[idx] {
-                                LinkJob::Upload {
-                                    instance,
-                                    reqs,
-                                    epoch,
-                                } => {
-                                    let (instance, epoch) = (*instance, *epoch);
-                                    let reqs = reqs.clone();
-                                    if insts[instance].epoch == epoch {
-                                        // Target alive since dispatch: these
-                                        // requests have no other copy in
-                                        // flight, so they are shed.
-                                        insts[instance].inflight -= reqs.len();
-                                        for &r in &reqs {
-                                            done[r] = true;
-                                            shed[r] = true;
-                                            fr.shed_link += 1;
-                                        }
-                                    }
-                                    // Epoch mismatch: the instance crashed
-                                    // while this payload was on the wire; its
-                                    // requests are already stranded and the
-                                    // watchdog re-dispatches them.
-                                }
-                                LinkJob::Drain { req } => {
-                                    done[*req] = true;
-                                    shed[*req] = true;
-                                    fr.shed_link += 1;
-                                }
-                            }
-                            dispatch!(now);
-                            grant!(now);
-                        }
-                    } else {
-                        if let Some(t0) = first_fail[idx].take() {
-                            mttr_link.0 += now.saturating_sub(t0);
-                            mttr_link.1 += 1;
-                        }
-                        arb.complete(id);
-                        match &jobs[idx] {
-                            LinkJob::Upload {
-                                instance,
-                                reqs,
-                                epoch,
-                            } => {
-                                let (instance, epoch) = (*instance, *epoch);
-                                let reqs = reqs.clone();
-                                if insts[instance].epoch == epoch {
-                                    debug_assert!(!insts[instance].down);
-                                    for &r in &reqs {
-                                        ts[r].upload_end = now;
-                                        if let Some(t0) = seu_pending[r].take() {
-                                            mttr_seu.0 += now.saturating_sub(t0);
-                                            mttr_seu.1 += 1;
-                                        }
-                                    }
-                                    insts[instance].ready.extend(reqs);
-                                    start_compute!(instance, now);
-                                }
-                                // Stale epoch: the payload arrived at an
-                                // instance that crashed after dispatch —
-                                // delivery is void, the watchdog recovers
-                                // the stranded requests.
-                            }
-                            LinkJob::Drain { req } => {
-                                ts[*req].drain_end = now;
-                                done[*req] = true;
-                                last_drain = last_drain.max(now);
-                            }
-                        }
-                        grant!(now);
-                    }
-                }
-                Event::ComputeDone {
-                    instance,
-                    req,
-                    epoch,
-                } => {
-                    if insts[instance].epoch == epoch {
-                        debug_assert_eq!(insts[instance].computing.first(), Some(&req));
-                        let group = std::mem::take(&mut insts[instance].computing);
-                        insts[instance].inflight -= group.len();
-                        for q in group {
-                            ts[q].compute_end = now;
-                            computed[q] = true;
-                            insts[instance].completed += 1;
-                            let id = jobs.len() as u64;
-                            jobs.push(LinkJob::Drain { req: q });
-                            attempts.push(0);
-                            first_fail.push(None);
-                            arb.submit(id, PcieLink::answer_bytes(), 1);
-                        }
-                        start_compute!(instance, now);
-                        dispatch!(now);
-                        grant!(now);
-                    }
-                    // Stale epoch: the instance crashed mid-compute; the
-                    // result never materialized.
-                }
-                Event::Crash(k) => {
-                    let p = plan.as_ref().expect("crash implies a campaign");
-                    let (_, i) = p.crash_events()[k];
-                    if !insts[i].down {
-                        fr.crashes += 1;
-                        crash_at.insert((i, insts[i].epoch), now);
-                        insts[i].epoch += 1;
-                        insts[i].down = true;
-                        // Roll back the busy time of the killed (never
-                        // finished) compute, drop FIFO'd work, and lose
-                        // all resident stories (BRAM state is gone).
-                        let unfinished = insts[i].free_at.saturating_sub(now);
-                        insts[i].busy = insts[i].busy.saturating_sub(unfinished);
-                        insts[i].free_at = now;
-                        insts[i].computing.clear();
-                        insts[i].ready.clear();
-                        insts[i].inflight = 0;
-                        residency[i].clear_resident();
-                        heap.push(Entry {
-                            time: now + SimTime::from_s(p.config().crash_cooldown_s),
-                            seq,
-                            event: Event::InstanceUp(i),
-                        });
-                        seq += 1;
-                    }
-                }
-                Event::InstanceUp(i) => {
-                    insts[i].down = false;
-                    dispatch!(now);
-                    grant!(now);
-                }
-                Event::Watchdog(r) => {
-                    if !done[r] {
-                        fr.watchdog_fires += 1;
-                        let stranded = assigned[r] != usize::MAX
-                            && !computed[r]
-                            && insts[assigned[r]].epoch != dispatch_epoch[r];
-                        if stranded {
-                            // The instance crashed under this request:
-                            // fail over to whatever replica the scheduler
-                            // picks next (re-admission is capacity-exempt;
-                            // the request was already admitted once).
-                            fr.failovers += 1;
-                            if let Some(&t0) = crash_at.get(&(assigned[r], dispatch_epoch[r])) {
-                                mttr_inst.0 += now.saturating_sub(t0);
-                                mttr_inst.1 += 1;
-                            }
-                            if self.config.failover_export {
-                                // Cross-shard failover: hand the request
-                                // back to the cluster, which re-dispatches
-                                // it on the story's replica shard; this
-                                // node is done with it.
-                                done[r] = true;
-                                exported[r] = Some(now);
-                            } else {
-                                assigned[r] = usize::MAX;
-                                queue.push_front(r);
-                                max_queue_depth = max_queue_depth.max(queue.len());
-                                dispatch!(now);
-                                grant!(now);
-                            }
-                        }
-                        // Re-arm while the request is alive; the chain dies
-                        // with `done` (which an export just set).
-                        if !done[r] {
-                            let p = plan.as_ref().expect("watchdog implies a campaign");
-                            heap.push(Entry {
-                                time: now + SimTime::from_s(p.config().watchdog_s),
-                                seq,
-                                event: Event::Watchdog(r),
-                            });
-                            seq += 1;
-                        }
-                    }
-                }
-                Event::Seu(k) => {
-                    let p = plan.as_ref().expect("SEU implies a campaign");
-                    let (_, i, pick) = p.seu_events()[k];
-                    fr.seu_events += 1;
-                    if !insts[i].down {
-                        let keys = residency[i].keys();
-                        if !keys.is_empty() {
-                            let key = keys[(pick % keys.len() as u64) as usize];
-                            residency[i].poison(key);
-                        }
-                    }
-                }
-            }
-        }
-        debug_assert!(
-            halted_at.is_some() || queue.is_empty(),
-            "event loop left work queued"
-        );
-        debug_assert!(
-            halted_at.is_some() || (!arb.is_busy() && arb.pending_len() == 0),
-            "link work stranded"
-        );
-
-        // ----- assemble outcome ----------------------------------------
-        let rejected_ids: std::collections::HashSet<u64> =
-            rejections.iter().map(|r| r.request.id).collect();
-        if let Some(cut) = halted_at {
-            // Fail-stop stranding: every request not fully drained by the
-            // cut — queued, on the wire, computing, or not yet arrived —
-            // is exported for the cluster to re-route. Rejections stay
-            // rejections (they were bounced before the node died), so no
-            // request is ever double-counted.
-            queue.clear();
-            for (i, r) in trace.requests.iter().enumerate() {
-                if !done[i] && !shed[i] && exported[i].is_none() && !rejected_ids.contains(&r.id) {
-                    done[i] = true;
-                    exported[i] = Some(cut.max(r.arrival));
-                }
-            }
-        }
-        let sheds: Vec<Request> = trace
-            .requests
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| shed[i])
-            .map(|(_, r)| *r)
-            .collect();
-        let exports: Vec<Export> = trace
-            .requests
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| exported[i].map(|at| Export { request: *r, at }))
-            .collect();
-        let mut completions: Vec<Completion> = trace
-            .requests
-            .iter()
-            .enumerate()
-            .filter(|&(i, r)| !rejected_ids.contains(&r.id) && !shed[i] && exported[i].is_none())
-            .map(|(i, r)| {
-                debug_assert!(ts[i].is_monotone(), "request {} timeline broken", r.id);
-                let run = match (hit[i], deg[i]) {
-                    (true, false) => num.queries[i].clone(),
-                    (false, false) => num.miss_runs[i].clone(),
-                    (true, true) => num.deg_queries[i].clone(),
-                    (false, true) => num.deg_miss_runs[i].clone(),
-                };
-                let correct = run.answer == self.sample_of(r).answer;
-                Completion {
-                    request: *r,
-                    instance: assigned[i],
-                    run,
-                    timestamps: ts[i],
-                    correct,
-                    degraded: deg[i],
-                    numeric_flagged: false,
-                    failed_over: false,
-                }
-            })
-            .collect();
-        let numeric = self.apply_numeric_policy(&mut completions);
-
-        // Journal completions only after the numeric policy has settled
-        // the final answers, so replaying the WAL reproduces exactly what
-        // was served. Canonical order makes the journal a pure function
-        // of (suite, trace, config), independent of engine and threads.
-        if journal_on {
-            for c in &completions {
-                wal_records.push(WalRecord::completion(
-                    c.request.id,
-                    c.run.answer as u32,
-                    c.timestamps.drain_end.ps(),
-                ));
-            }
-            wal_records.sort_by(|a, b| {
-                (a.stamp_ps, a.kind, a.id, a.task, a.digest)
-                    .cmp(&(b.stamp_ps, b.kind, b.id, b.task, b.digest))
-            });
-        }
-
-        let cache_stats = residency.iter().map(|r| r.stats()).fold(
-            mann_hw::CacheStats::default(),
-            |mut acc, s| {
-                acc += s;
-                acc
-            },
-        );
-        let cache = CacheReport {
-            capacity: self.config.story_cache,
-            unique_stories: num.stories.len(),
-            hits: cache_stats.hits,
-            misses: cache_stats.misses,
-            evictions: cache_stats.evictions,
-            hit_rate: cache_stats.hit_rate(),
-            write_cycles_saved,
-            upload_bytes_saved,
-            write_energy_saved_j: self.config.power.active_energy_j(
-                self.config.clock.freq_mhz(),
-                self.config.clock.seconds(Cycles::new(write_cycles_saved)),
-            ),
-        };
-        let batch = BatchReport {
-            enabled: self.config.batch_window > 1,
-            window: self.config.batch_window,
-            groups: batch_groups,
-            fused_groups: batch_fused,
-            batched_requests,
-            size_histogram: batch_hist,
-            cycles_saved: batch_cycles_saved,
-            energy_saved_j: self.config.power.active_energy_j(
-                self.config.clock.freq_mhz(),
-                self.config.clock.seconds(Cycles::new(batch_cycles_saved)),
-            ),
-        };
-
-        if let Some(p) = &plan {
-            fr.enabled = true;
-            fr.plan_seed = p.config().seed;
-            fr.retry_link_s = arb.retry_busy_time().as_s();
-            fr.retry_energy_j = self
-                .config
-                .power
-                .retry_energy_j(self.config.clock.freq_mhz(), fr.retry_link_s);
-            fr.scrub_energy_j = self.config.power.active_energy_j(
-                self.config.clock.freq_mhz(),
-                self.config.clock.seconds(Cycles::new(fr.scrub_cycles)),
-            );
-            let mean = |(sum, count): (SimTime, u64)| {
-                if count > 0 {
-                    sum.as_s() / count as f64
-                } else {
-                    0.0
-                }
-            };
-            fr.mttr_link_s = mean(mttr_link);
-            fr.mttr_instance_s = mean(mttr_inst);
-            fr.mttr_seu_s = mean(mttr_seu);
-        }
-
-        let report = self.build_report(
-            trace,
-            &completions,
-            &rejections,
-            &insts,
-            &arb,
-            cache,
-            batch,
-            last_drain,
-            max_queue_depth,
-            fr,
-            numeric,
-        );
-        ServeOutcome {
-            completions,
-            rejections,
-            sheds,
-            exports,
-            wal_records,
-            report,
-        }
+        EventLoop::new(self, trace).run()
     }
 
     /// Applies the configured [`NumericPolicy`] to the assembled
@@ -1479,43 +798,648 @@ impl<'a> Server<'a> {
                 nh.failover_cycles += c.run.cycles.get();
             }
         }
-        nh.failover_energy_j = self.config.power.active_energy_j(
-            self.config.clock.freq_mhz(),
-            self.config.clock.seconds(Cycles::new(nh.failover_cycles)),
-        );
+        nh.failover_energy_j = self.config.active_energy_j(nh.failover_cycles);
         nh
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn build_report(
-        &self,
-        trace: &ArrivalTrace,
-        completions: &[Completion],
-        rejections: &[Rejection],
-        insts: &[Inst],
-        arb: &LinkArbiter,
-        cache: CacheReport,
-        batch: BatchReport,
-        last_drain: SimTime,
-        max_queue_depth: usize,
-        fault: FaultReport,
-        numeric: NumericHealth,
-    ) -> ServeReport {
-        let makespan_s = last_drain.as_s();
+/// The event loop of one serve: a sequential merge on integer-picosecond
+/// [`SimTime`] with a submission-order tie-break, over arrivals, link
+/// grants, completions and the fault and membership levers' events. Each
+/// `on_*` method handles one [`Event`] variant; every event is scheduled
+/// through [`Agenda::schedule`].
+struct EventLoop<'s, 'a> {
+    server: &'s Server<'a>,
+    trace: &'s ArrivalTrace,
+    num: NumericPhase,
+    /// The materialized fault campaign (`None` = untouched serve path).
+    plan: Option<FaultPlan>,
+    agenda: Agenda,
+    queue: VecDeque<usize>,
+    max_queue_depth: usize,
+    insts: Vec<Inst>,
+    residency: Vec<LruSet>,
+    scheduler: Scheduler,
+    arb: LinkArbiter,
+    /// Link transfers, indexed by arbiter job id.
+    jobs: Vec<Job>,
+    /// Per-request state, indexed like `trace.requests`.
+    life: Vec<Lifecycle>,
+    rejections: Vec<Rejection>,
+    last_drain: SimTime,
+    /// Set by a fail-stop: the instant the loop halted.
+    halted_at: Option<SimTime>,
+    write_cycles_saved: u64,
+    upload_bytes_saved: u64,
+    /// Batched-compute counters (inert with window 0/1).
+    batch: BatchReport,
+    /// Fault-campaign counters (inert without a plan).
+    fault: FaultReport,
+    /// Crash instants by (instance, pre-crash epoch), for the MTTR.
+    crash_at: HashMap<(usize, u64), SimTime>,
+    mttr_link: Mttr,
+    mttr_instance: Mttr,
+    mttr_seu: Mttr,
+    journal: Option<Journal>,
+}
+
+impl<'s, 'a> EventLoop<'s, 'a> {
+    fn new(server: &'s Server<'a>, trace: &'s ArrivalTrace) -> Self {
+        let config = &server.config;
+        let num = server.numeric_phase(trace);
+        let plan = config.faults.is_active().then(|| {
+            FaultPlan::materialize(&config.faults, trace.span(), config.instances)
+                .unwrap_or_else(|e| panic!("invalid fault plan: {e}"))
+        });
+        let journal = config.wal.enabled.then(|| Journal::new(trace, &num));
+        let mut lp = Self {
+            server,
+            trace,
+            num,
+            plan,
+            agenda: Agenda::default(),
+            queue: VecDeque::new(),
+            max_queue_depth: 0,
+            insts: vec![Inst::default(); config.instances],
+            residency: vec![LruSet::new(config.story_cache); config.instances],
+            scheduler: Scheduler::new(config.policy),
+            arb: LinkArbiter::new(config.pcie),
+            jobs: Vec::new(),
+            life: vec![
+                Lifecycle {
+                    assigned: UNASSIGNED,
+                    ..Lifecycle::default()
+                };
+                trace.requests.len()
+            ],
+            rejections: Vec::new(),
+            last_drain: SimTime::ZERO,
+            halted_at: None,
+            write_cycles_saved: 0,
+            upload_bytes_saved: 0,
+            batch: BatchReport::default(),
+            fault: FaultReport::default(),
+            crash_at: HashMap::new(),
+            mttr_link: Mttr::default(),
+            mttr_instance: Mttr::default(),
+            mttr_seu: Mttr::default(),
+            journal,
+        };
+        // Arrivals first, then the fault plan's crashes and SEUs, then the
+        // fail-stop. A lever left off schedules nothing here, so it uses
+        // no sequence numbers and every later event keeps the one it had
+        // without the lever (byte-identity with the lever compiled in).
+        // Arrivals at the cut instant carry earlier seqs than the
+        // fail-stop, so they are admitted (and then stranded)
+        // deterministically.
+        for (i, r) in trace.requests.iter().enumerate() {
+            lp.agenda.schedule(r.arrival, Event::Arrival(i));
+        }
+        if let Some(p) = &lp.plan {
+            for (k, &(t, _)) in p.crash_events().iter().enumerate() {
+                lp.agenda.schedule(t, Event::Crash(k));
+            }
+            for (k, &(t, _, _)) in p.seu_events().iter().enumerate() {
+                lp.agenda.schedule(t, Event::Seu(k));
+            }
+        }
+        if let Some(t) = config.fail_stop {
+            lp.agenda.schedule(t, Event::FailStop);
+        }
+        lp
+    }
+
+    fn run(mut self) -> ServeOutcome {
+        while let Some((now, event)) = self.agenda.next() {
+            match event {
+                Event::Arrival(i) => self.on_arrival(now, i),
+                Event::LinkDone(id) => self.on_link_done(now, id),
+                Event::ComputeDone {
+                    instance,
+                    req,
+                    epoch,
+                } => self.on_compute_done(now, instance, req, epoch),
+                Event::Crash(k) => self.on_crash(now, k),
+                Event::InstanceUp(i) => self.on_instance_up(now, i),
+                Event::Watchdog(r) => self.on_watchdog(now, r),
+                Event::Seu(k) => self.on_seu(k),
+                Event::FailStop => {
+                    self.on_fail_stop(now);
+                    break;
+                }
+            }
+        }
+        debug_assert!(
+            self.halted_at.is_some() || self.queue.is_empty(),
+            "event loop left work queued"
+        );
+        debug_assert!(
+            self.halted_at.is_some() || (!self.arb.is_busy() && self.arb.pending_len() == 0),
+            "link work stranded"
+        );
+        self.finish()
+    }
+
+    /// The numeric-phase run request `r` resolves to at compute time.
+    fn run_of(&self, r: usize) -> &InferenceRun {
+        let l = &self.life[r];
+        self.num.run(r, l.degraded, l.hit)
+    }
+
+    /// Whole-node fail-stop: the fabric, caches and host queue vanish at
+    /// the cut. Every instance is killed (unfinished compute rolled back,
+    /// as for a crash) and the loop halts; [`EventLoop::finish`] hands
+    /// everything unfinished back to the cluster as exports.
+    fn on_fail_stop(&mut self, now: SimTime) {
+        for inst in &mut self.insts {
+            inst.kill(now);
+        }
+        self.halted_at = Some(now);
+    }
+
+    fn on_arrival(&mut self, now: SimTime, i: usize) {
+        if self.queue.len() >= self.server.config.queue_capacity {
+            self.rejections.push(Rejection {
+                request: self.trace.requests[i],
+                queue_depth: self.queue.len(),
+            });
+            if self.plan.is_some() {
+                self.fault.shed_overload += 1;
+            }
+            return;
+        }
+        self.life[i].ts.enqueue = now;
+        self.queue.push_back(i);
+        self.max_queue_depth = self.max_queue_depth.max(self.queue.len());
+        if let Some(p) = &self.plan {
+            // Overload response: past the degrade depth, survivors are
+            // answered in aggressive-ITH degraded mode instead of being
+            // shed.
+            let depth = p.config().degrade_depth;
+            if depth > 0 && self.queue.len() >= depth {
+                self.life[i].degraded = true;
+                self.fault.degraded += 1;
+            }
+        }
+        self.dispatch(now);
+        self.grant(now);
+    }
+
+    fn on_link_done(&mut self, now: SimTime, id: u64) {
+        let idx = id as usize;
+        let attempt = self.jobs[idx].attempts;
+        let retry = self
+            .plan
+            .as_ref()
+            .filter(|p| p.corrupts(id, attempt))
+            .map(|p| (p.config().max_retries, p.backoff(attempt)));
+        if let Some((max_retries, backoff)) = retry {
+            self.fault.link_corruptions += 1;
+            self.jobs[idx].first_fail.get_or_insert(now);
+            if attempt < max_retries {
+                // CRC failure: hold the link through backoff and replay
+                // the whole transfer. Holding (rather than completing and
+                // resubmitting) keeps the FIFO order of every other
+                // pending transfer intact.
+                self.jobs[idx].attempts += 1;
+                self.fault.retransmits += 1;
+                let g = self.arb.retransmit(id, now + backoff);
+                self.agenda.schedule(g.end, Event::LinkDone(id));
+                return;
+            }
+            // Retry budget exhausted: payload undeliverable.
+            self.fault.retry_exhausted += 1;
+            self.arb.complete(id);
+            let lost: &[usize] = match &self.jobs[idx].kind {
+                // Target alive since dispatch: these requests have no
+                // other copy in flight, so they are shed.
+                LinkJob::Upload {
+                    instance,
+                    reqs,
+                    epoch,
+                } if self.insts[*instance].epoch == *epoch => {
+                    self.insts[*instance].inflight -= reqs.len();
+                    reqs
+                }
+                // Epoch mismatch: the instance crashed while this payload
+                // was on the wire; its requests are already stranded and
+                // the watchdog re-dispatches them.
+                LinkJob::Upload { .. } => &[],
+                LinkJob::Drain { req } => std::slice::from_ref(req),
+            };
+            for &r in lost {
+                self.life[r].done = true;
+                self.life[r].shed = true;
+                self.fault.shed_link += 1;
+            }
+            self.dispatch(now);
+            self.grant(now);
+            return;
+        }
+        if let Some(t0) = self.jobs[idx].first_fail.take() {
+            self.mttr_link.record(t0, now);
+        }
+        self.arb.complete(id);
+        let delivered_to = match &self.jobs[idx].kind {
+            LinkJob::Upload {
+                instance,
+                reqs,
+                epoch,
+            } if self.insts[*instance].epoch == *epoch => {
+                debug_assert!(!self.insts[*instance].down);
+                for &r in reqs {
+                    self.life[r].ts.upload_end = now;
+                    if let Some(t0) = self.life[r].seu_pending.take() {
+                        self.mttr_seu.record(t0, now);
+                    }
+                }
+                self.insts[*instance].ready.extend(reqs);
+                Some(*instance)
+            }
+            // Stale epoch: the payload arrived at an instance that crashed
+            // after dispatch — delivery is void, the watchdog recovers the
+            // stranded requests.
+            LinkJob::Upload { .. } => None,
+            LinkJob::Drain { req } => {
+                self.life[*req].ts.drain_end = now;
+                self.life[*req].done = true;
+                self.last_drain = self.last_drain.max(now);
+                None
+            }
+        };
+        if let Some(instance) = delivered_to {
+            self.start_compute(instance, now);
+        }
+        self.grant(now);
+    }
+
+    fn on_compute_done(&mut self, now: SimTime, instance: usize, req: usize, epoch: u64) {
+        if self.insts[instance].epoch != epoch {
+            // Stale epoch: the instance crashed mid-compute; the result
+            // never materialized.
+            return;
+        }
+        debug_assert_eq!(self.insts[instance].computing.first(), Some(&req));
+        let group = std::mem::take(&mut self.insts[instance].computing);
+        self.insts[instance].inflight -= group.len();
+        for q in group {
+            self.life[q].ts.compute_end = now;
+            self.life[q].computed = true;
+            self.insts[instance].completed += 1;
+            self.submit(LinkJob::Drain { req: q }, PcieLink::answer_bytes(), 1);
+        }
+        self.start_compute(instance, now);
+        self.dispatch(now);
+        self.grant(now);
+    }
+
+    fn on_crash(&mut self, now: SimTime, k: usize) {
+        let p = self.plan.as_ref().expect("crash implies a campaign");
+        let (_, i) = p.crash_events()[k];
+        let cooldown = SimTime::from_s(p.config().crash_cooldown_s);
+        if self.insts[i].down {
+            return;
+        }
+        self.fault.crashes += 1;
+        self.crash_at.insert((i, self.insts[i].epoch), now);
+        // Resident stories are lost with the instance (BRAM state is gone).
+        self.insts[i].kill(now);
+        self.residency[i].clear_resident();
+        self.agenda.schedule(now + cooldown, Event::InstanceUp(i));
+    }
+
+    fn on_instance_up(&mut self, now: SimTime, i: usize) {
+        self.insts[i].down = false;
+        self.dispatch(now);
+        self.grant(now);
+    }
+
+    fn on_watchdog(&mut self, now: SimTime, r: usize) {
+        if self.life[r].done {
+            return;
+        }
+        self.fault.watchdog_fires += 1;
+        let (assigned, epoch) = (self.life[r].assigned, self.life[r].dispatch_epoch);
+        let stranded =
+            assigned != UNASSIGNED && !self.life[r].computed && self.insts[assigned].epoch != epoch;
+        if stranded {
+            // The instance crashed under this request: fail over to
+            // whatever replica the scheduler picks next (re-admission is
+            // capacity-exempt; the request was already admitted once).
+            self.fault.failovers += 1;
+            if let Some(&t0) = self.crash_at.get(&(assigned, epoch)) {
+                self.mttr_instance.record(t0, now);
+            }
+            if self.server.config.failover_export {
+                // Cross-shard failover: hand the request back to the
+                // cluster, which re-dispatches it on the story's replica
+                // shard; this node is done with it.
+                self.life[r].done = true;
+                self.life[r].exported = Some(now);
+            } else {
+                self.life[r].assigned = UNASSIGNED;
+                self.queue.push_front(r);
+                self.max_queue_depth = self.max_queue_depth.max(self.queue.len());
+                self.dispatch(now);
+                self.grant(now);
+            }
+        }
+        // Re-arm while the request is alive; the chain dies with `done`
+        // (which an export just set).
+        if !self.life[r].done {
+            let p = self.plan.as_ref().expect("watchdog implies a campaign");
+            let wd = SimTime::from_s(p.config().watchdog_s);
+            self.agenda.schedule(now + wd, Event::Watchdog(r));
+        }
+    }
+
+    fn on_seu(&mut self, k: usize) {
+        let p = self.plan.as_ref().expect("SEU implies a campaign");
+        let (_, i, pick) = p.seu_events()[k];
+        self.fault.seu_events += 1;
+        if !self.insts[i].down {
+            let keys = self.residency[i].keys();
+            if !keys.is_empty() {
+                let key = keys[(pick % keys.len() as u64) as usize];
+                self.residency[i].poison(key);
+            }
+        }
+    }
+
+    /// Queues a link transfer behind the arbiter's FIFO.
+    fn submit(&mut self, kind: LinkJob, bytes: u64, requests: usize) {
+        let id = self.jobs.len() as u64;
+        self.jobs.push(Job {
+            kind,
+            attempts: 0,
+            first_fail: None,
+        });
+        self.arb.submit(id, bytes, requests);
+    }
+
+    /// Moves as many queued requests as credits allow onto the link.
+    fn dispatch(&mut self, now: SimTime) {
+        let config = self.server.config();
+        while let Some(&head) = self.queue.front() {
+            let views: Vec<InstanceView> = self
+                .insts
+                .iter()
+                .zip(&self.residency)
+                .map(|(inst, res)| InstanceView {
+                    inflight: inst.inflight,
+                    // A crashed instance advertises no credits, so the
+                    // (unchanged) scheduler never picks it.
+                    credits: if inst.down {
+                        0
+                    } else {
+                        config.inflight_limit - inst.inflight
+                    },
+                    free_at: inst.free_at,
+                    resident: res.contains(self.num.keys[head]),
+                })
+                .collect();
+            let Some(target) = self.scheduler.pick(&views) else {
+                break;
+            };
+            let credits = config.inflight_limit - self.insts[target].inflight;
+            let take = credits.min(config.upload_batch).min(self.queue.len());
+            let reqs: Vec<usize> = self.queue.drain(..take).collect();
+            let bytes: u64 = reqs.iter().map(|&r| self.admit(r, target, now)).sum();
+            self.insts[target].inflight += take;
+            let epoch = self.insts[target].epoch;
+            self.submit(
+                LinkJob::Upload {
+                    instance: target,
+                    reqs,
+                    epoch,
+                },
+                bytes,
+                take,
+            );
+        }
+    }
+
+    /// Dispatches request `r` to instance `target`: decides residency (hit
+    /// or miss) here, because it depends on the chosen instance's cache,
+    /// arms the request's watchdog, and returns the bytes its upload
+    /// moves.
+    fn admit(&mut self, r: usize, target: usize, now: SimTime) -> u64 {
+        let num = &self.num;
+        let sid = num.story_of[r];
+        let story = &num.stories[sid];
+        let admission = self.residency[target].admit(num.keys[r]);
+        if let Some(j) = &mut self.journal {
+            let task = self.trace.requests[r].task_idx as u32;
+            j.admit(&admission, story, sid, task, now);
+        }
+        let l = &mut self.life[r];
+        if admission.scrubbed {
+            // A poisoned resident story: the digest check caught it, so
+            // this dispatch pays a full re-write (miss form) to repair it.
+            self.fault.scrubs += 1;
+            self.fault.scrub_cycles += story.phases().total().get();
+            l.seu_pending = Some(now);
+        }
+        l.hit = admission.hit;
+        l.ts.dispatch = now;
+        l.assigned = target;
+        l.dispatch_epoch = self.insts[target].epoch;
+        let bytes = if admission.hit {
+            self.insts[target].cache_hits += 1;
+            self.write_cycles_saved += story.phases().total().get();
+            self.upload_bytes_saved += num.miss_bytes[r] - num.hit_bytes[r];
+            num.hit_bytes[r]
+        } else {
+            num.miss_bytes[r]
+        };
+        if let Some(p) = &self.plan {
+            let wd = p.config().watchdog_s;
+            if wd > 0.0 && !l.watchdog_armed {
+                l.watchdog_armed = true;
+                self.agenda
+                    .schedule(now + SimTime::from_s(wd), Event::Watchdog(r));
+            }
+        }
+        bytes
+    }
+
+    /// Grants the head link job if the link is idle.
+    fn grant(&mut self, now: SimTime) {
+        let Some(g) = self.arb.try_grant(now) else {
+            return;
+        };
+        match &self.jobs[g.id as usize].kind {
+            LinkJob::Upload { reqs, .. } => {
+                for &r in reqs {
+                    self.life[r].ts.upload_start = g.start;
+                }
+            }
+            LinkJob::Drain { req } => self.life[*req].ts.drain_start = g.start,
+        }
+        self.agenda.schedule(g.end, Event::LinkDone(g.id));
+    }
+
+    /// Starts the next ready request if the instance's fabric is idle.
+    /// With a batch window > 1, the head request additionally drains
+    /// every FIFO'd request on the *same resident story* (up to the
+    /// window) into one fused compute group: the shared per-hop memory
+    /// stream and the shared output-search stream are paid once instead
+    /// of once per query, so the fused duration is the sum of the
+    /// per-query durations minus the deduplicated stream cycles.
+    fn start_compute(&mut self, i: usize, now: SimTime) {
+        if !self.insts[i].computing.is_empty() {
+            return;
+        }
+        let Some(r) = self.insts[i].ready.pop_front() else {
+            return;
+        };
+        let config = self.server.config();
+        let mut group = vec![r];
+        if config.batch_window > 1 {
+            let key = self.num.keys[r];
+            let mut rest = VecDeque::new();
+            for q in std::mem::take(&mut self.insts[i].ready) {
+                if group.len() < config.batch_window && self.num.keys[q] == key {
+                    group.push(q);
+                } else {
+                    rest.push_back(q);
+                }
+            }
+            self.insts[i].ready = rest;
+            self.batch.groups += 1;
+            self.batch.batched_requests += group.len() as u64;
+            let hist = &mut self.batch.size_histogram;
+            if hist.len() < group.len() {
+                hist.resize(group.len(), 0);
+            }
+            hist[group.len() - 1] += 1;
+        }
+        let mut total = SimTime::ZERO;
+        for &q in &group {
+            self.life[q].ts.compute_start = now;
+            total += self.run_of(q).compute_time(config.clock);
+        }
+        let fused = if group.len() > 1 {
+            self.batch.fused_groups += 1;
+            let saved = self.fused_savings(&group);
+            self.batch.cycles_saved += saved;
+            total.saturating_sub(config.clock.sim_time(Cycles::new(saved)))
+        } else {
+            total
+        };
+        let end = now + fused;
+        let inst = &mut self.insts[i];
+        inst.free_at = end;
+        inst.busy += fused;
+        inst.computing = group;
+        let epoch = inst.epoch;
+        self.agenda.schedule(
+            end,
+            Event::ComputeDone {
+                instance: i,
+                req: r,
+                epoch,
+            },
+        );
+    }
+
+    /// Stream cycles a fused group shares. Same story => same per-hop
+    /// stream cost: the batch pays max(hops) streams instead of sum(hops),
+    /// and one output row stream instead of one per query.
+    fn fused_savings(&self, group: &[usize]) -> u64 {
+        let stream = self.run_of(group[0]).mem_stream_per_hop;
+        let (mut hops, mut max_hops, mut outs, mut max_out) = (0u64, 0u64, 0u64, 0u64);
+        for &q in group {
+            let run = self.run_of(q);
+            hops += run.hops_executed as u64;
+            max_hops = max_hops.max(run.hops_executed as u64);
+            outs += run.out_stream_cycles;
+            max_out = max_out.max(run.out_stream_cycles);
+        }
+        stream * (hops - max_hops) + (outs - max_out)
+    }
+
+    /// Assembles the outcome once the loop has run dry or halted.
+    fn finish(mut self) -> ServeOutcome {
+        let trace = self.trace;
+        let requests = &trace.requests;
+        let rejected_ids: std::collections::HashSet<u64> =
+            self.rejections.iter().map(|r| r.request.id).collect();
+        if let Some(cut) = self.halted_at {
+            // Fail-stop stranding: every request not fully drained by the
+            // cut — queued, on the wire, computing, or not yet arrived —
+            // is exported for the cluster to re-route. Rejections stay
+            // rejections (they were bounced before the node died), so no
+            // request is ever double-counted.
+            self.queue.clear();
+            for (l, r) in self.life.iter_mut().zip(requests) {
+                if !l.done && !l.shed && l.exported.is_none() && !rejected_ids.contains(&r.id) {
+                    l.done = true;
+                    l.exported = Some(cut.max(r.arrival));
+                }
+            }
+        }
+        let sheds: Vec<Request> = requests
+            .iter()
+            .zip(&self.life)
+            .filter(|(_, l)| l.shed)
+            .map(|(r, _)| *r)
+            .collect();
+        let exports: Vec<Export> = requests
+            .iter()
+            .zip(&self.life)
+            .filter_map(|(r, l)| l.exported.map(|at| Export { request: *r, at }))
+            .collect();
+        let mut completions: Vec<Completion> = requests
+            .iter()
+            .enumerate()
+            .filter(|&(i, r)| {
+                let l = &self.life[i];
+                !rejected_ids.contains(&r.id) && !l.shed && l.exported.is_none()
+            })
+            .map(|(i, r)| {
+                let l = &self.life[i];
+                debug_assert!(l.ts.is_monotone(), "request {} timeline broken", r.id);
+                let run = self.run_of(i).clone();
+                let correct = run.answer == self.server.sample_of(r).answer;
+                Completion {
+                    request: *r,
+                    instance: l.assigned,
+                    run,
+                    timestamps: l.ts,
+                    correct,
+                    degraded: l.degraded,
+                    numeric_flagged: false,
+                    failed_over: false,
+                }
+            })
+            .collect();
+        let numeric = self.server.apply_numeric_policy(&mut completions);
+        let wal_records = self
+            .journal
+            .take()
+            .map_or_else(Vec::new, |j| j.finish(&completions));
+        let report = self.report(&completions, numeric);
+        ServeOutcome {
+            completions,
+            rejections: self.rejections,
+            sheds,
+            exports,
+            wal_records,
+            report,
+        }
+    }
+
+    fn report(&self, completions: &[Completion], numeric: NumericHealth) -> ServeReport {
+        let config = self.server.config();
+        let makespan_s = self.last_drain.as_s();
         let latencies: Vec<f64> = completions
             .iter()
             .map(|c| c.timestamps.latency().as_s())
             .collect();
-        let mean_queue_wait_s = if completions.is_empty() {
-            0.0
-        } else {
-            completions
-                .iter()
-                .map(|c| c.timestamps.queue_wait().as_s())
-                .sum::<f64>()
-                / completions.len() as f64
-        };
-        let instances: Vec<InstanceReport> = insts
+        let stats = CompletionStats::new(completions, &latencies, makespan_s);
+        let instances: Vec<InstanceReport> = self
+            .insts
             .iter()
             .enumerate()
             .map(|(i, inst)| {
@@ -1530,24 +1454,60 @@ impl<'a> Server<'a> {
                     } else {
                         0.0
                     },
-                    energy_j: self.config.power.interval_energy_j(
-                        self.config.clock.freq_mhz(),
+                    energy_j: config.power.interval_energy_j(
+                        config.clock.freq_mhz(),
                         busy_s,
                         makespan_s,
-                        self.config.use_ith,
+                        config.use_ith,
                     ),
                 }
             })
             .collect();
         let total_energy_j = instances.iter().map(|i| i.energy_j).sum();
-        let correct = completions.iter().filter(|c| c.correct).count();
+
+        let mut cache_stats = mann_hw::CacheStats::default();
+        for r in &self.residency {
+            cache_stats += r.stats();
+        }
+        let cache = CacheReport {
+            capacity: config.story_cache,
+            unique_stories: self.num.stories.len(),
+            hits: cache_stats.hits,
+            misses: cache_stats.misses,
+            evictions: cache_stats.evictions,
+            hit_rate: cache_stats.hit_rate(),
+            write_cycles_saved: self.write_cycles_saved,
+            upload_bytes_saved: self.upload_bytes_saved,
+            write_energy_saved_j: config.active_energy_j(self.write_cycles_saved),
+        };
+        let batch = BatchReport {
+            enabled: config.batch_window > 1,
+            window: config.batch_window,
+            energy_saved_j: config.active_energy_j(self.batch.cycles_saved),
+            ..self.batch.clone()
+        };
+
+        let mut fault = self.fault.clone();
+        if let Some(p) = &self.plan {
+            fault.enabled = true;
+            fault.plan_seed = p.config().seed;
+            fault.retry_link_s = self.arb.retry_busy_time().as_s();
+            fault.retry_energy_j = config
+                .power
+                .retry_energy_j(config.clock.freq_mhz(), fault.retry_link_s);
+            fault.scrub_energy_j = config.active_energy_j(fault.scrub_cycles);
+            fault.mttr_link_s = self.mttr_link.mean_s();
+            fault.mttr_instance_s = self.mttr_instance.mean_s();
+            fault.mttr_seu_s = self.mttr_seu.mean_s();
+        }
+
         // Per-completion hop accounting: for a fixed story every hop of a
         // run spends the same addressing/read/controller cycles, so the
         // per-hop cost divides exactly and the saved-cycle figure is an
         // exact count, not an estimate.
         let mut prune = HopPruneReport {
-            enabled: self.config.hop_prune.enabled,
-            threshold: self.config.hop_prune.threshold,
+            enabled: config.hop_prune.enabled,
+            threshold: config.hop_prune.threshold,
             ..HopPruneReport::default()
         };
         for c in completions {
@@ -1561,27 +1521,24 @@ impl<'a> Server<'a> {
                 // With the candidate index armed, hops inside one run can
                 // scan different candidate counts, so the per-hop figure
                 // below is a mean rather than an exact per-hop cost.
-                if !self.config.mem_index.enabled {
+                if !config.mem_index.enabled {
                     debug_assert_eq!(hop_cycles % c.run.hops_executed as u64, 0);
                 }
                 prune.cycles_saved +=
                     hop_cycles / c.run.hops_executed as u64 * c.run.hops_saved as u64;
             }
         }
-        prune.energy_saved_j = self.config.power.active_energy_j(
-            self.config.clock.freq_mhz(),
-            self.config.clock.seconds(Cycles::new(prune.cycles_saved)),
-        );
+        prune.energy_saved_j = config.active_energy_j(prune.cycles_saved);
         // A disabled report stays `IndexReport::default()` (not a config
         // echo), so structs parsed from pre-index golden JSON — where the
         // key is absent and deserialization falls back to the default —
         // compare equal to freshly built ones.
         let mut index = IndexReport::default();
-        if self.config.mem_index.enabled {
+        if config.mem_index.enabled {
             index.enabled = true;
-            index.k = self.config.mem_index.k;
-            index.nprobe = self.config.mem_index.nprobe;
-            index.band = self.config.mem_index.band;
+            index.k = config.mem_index.k;
+            index.nprobe = config.mem_index.nprobe;
+            index.band = config.mem_index.band;
             for c in completions {
                 index.scanned_slots += c.run.index.scanned_slots;
                 index.skipped_slots += c.run.index.skipped_slots;
@@ -1589,36 +1546,26 @@ impl<'a> Server<'a> {
                 index.build_cycles += c.run.index.build_cycles;
                 index.cycles_saved += c.run.index.cycles_saved;
             }
-            index.energy_saved_j = self.config.power.active_energy_j(
-                self.config.clock.freq_mhz(),
-                self.config.clock.seconds(Cycles::new(index.cycles_saved)),
-            );
+            index.energy_saved_j = config.active_energy_j(index.cycles_saved);
         }
+        let link = &self.arb;
         ServeReport {
-            requests: trace.requests.len(),
+            requests: self.trace.requests.len(),
             completed: completions.len(),
-            rejected: rejections.len(),
-            accuracy: if completions.is_empty() {
-                0.0
-            } else {
-                correct as f64 / completions.len() as f64
-            },
+            rejected: self.rejections.len(),
+            accuracy: stats.accuracy,
             makespan_s,
-            throughput_rps: if makespan_s > 0.0 {
-                completions.len() as f64 / makespan_s
-            } else {
-                0.0
-            },
-            latency: LatencySummary::from_latencies(&latencies),
-            mean_queue_wait_s,
-            max_queue_depth,
+            throughput_rps: stats.throughput_rps,
+            latency: stats.latency,
+            mean_queue_wait_s: stats.mean_queue_wait_s,
+            max_queue_depth: self.max_queue_depth,
             instances,
             link: LinkReport {
-                grants: arb.grants(),
-                bytes: arb.bytes_moved(),
-                busy_s: arb.busy_time().as_s(),
+                grants: link.grants(),
+                bytes: link.bytes_moved(),
+                busy_s: link.busy_time().as_s(),
                 utilization: if makespan_s > 0.0 {
-                    (arb.busy_time().as_s() / makespan_s).clamp(0.0, 1.0)
+                    (link.busy_time().as_s() / makespan_s).clamp(0.0, 1.0)
                 } else {
                     0.0
                 },
@@ -1627,10 +1574,8 @@ impl<'a> Server<'a> {
             phase_totals: completions.iter().map(|c| c.run.phases).sum(),
             speculated: completions.iter().filter(|c| c.run.speculated).count(),
             total_energy_j,
-            setup_s: self.setup_time_s(),
-            answers_digest: answers_digest(
-                completions.iter().map(|c| (c.request.id, c.run.answer)),
-            ),
+            setup_s: self.server.setup_time_s(),
+            answers_digest: stats.answers_digest,
             fault,
             numeric,
             batch,
@@ -1639,7 +1584,7 @@ impl<'a> Server<'a> {
             // The durable driver (`crate::store`) patches this section in
             // after persisting the journal; the pure serve never fills it.
             durability: DurabilityReport::default(),
-            fail_stopped: self.config.fail_stop.is_some(),
+            fail_stopped: config.fail_stop.is_some(),
         }
     }
 }

@@ -12,11 +12,14 @@
 //! * same-story batch fusion, burst trace:   **>= 1.3x** simulated req/s
 //! * cluster scaling, 1 -> 4 shards:         **>= 3.0x** simulated req/s
 //! * hot-key split, pathological story:      **>= 1.3x** simulated req/s
+//! * JSON parse, 2x the document:            **<= 2.3x** the time
+//! * suite cache load vs rebuild:            **< 1.0x** the time
 //!
 //! Training/kernel results are written to `BENCH_PR1.json`, serving
 //! results to `BENCH_PR3.json`, dedup results to `BENCH_PR6.json`,
-//! cluster scale-out results to `BENCH_PR7.json`, and membership /
-//! hot-key split results to `BENCH_PR10.json`, as rows of
+//! cluster scale-out results to `BENCH_PR7.json`, membership /
+//! hot-key split results to `BENCH_PR10.json`, and JSON codec / suite
+//! cache results to `BENCH_PR13.json`, as rows of
 //! `{"metric": ..., "value": ..., "unit": ...}`. Every baseline is real,
 //! runnable code — not a recorded number — so the gate keeps meaning as
 //! hardware changes. Each reference path is cross-checked against the
@@ -41,7 +44,7 @@ use std::time::Instant;
 
 use mann_babi::{DatasetBuilder, EncodedSample, TaskId};
 use mann_core::parallel::worker_threads;
-use mann_core::{SuiteConfig, TaskSuite};
+use mann_core::{SuiteCache, SuiteConfig, TaskSuite};
 use mann_hw::{AccelConfig, Accelerator, DatapathConfig, MemIndexConfig, PcieLink};
 use mann_linalg::{Matrix, Vector};
 use mann_serve::{
@@ -886,6 +889,11 @@ fn main() {
     let (indexed_speedup, indexed_agreement, indexed_fallbacks) =
         indexed_gate(&serve_suite, &mut index_rows);
 
+    // --- JSON codec: linear parse scaling, and a suite cache that loads
+    // faster than it rebuilds.
+    let mut codec_rows: Vec<Row> = Vec::new();
+    let (doubling_ratio, load_vs_build) = codec_gate(&mut codec_rows);
+
     // --- Report + gate.
     write_rows("BENCH_PR1.json", &rows);
     write_rows("BENCH_PR3.json", &serve_rows);
@@ -893,6 +901,7 @@ fn main() {
     write_rows("BENCH_PR7.json", &cluster_rows);
     write_rows("BENCH_PR8.json", &index_rows);
     write_rows("BENCH_PR10.json", &membership_rows);
+    write_rows("BENCH_PR13.json", &codec_rows);
 
     let mut failed = Vec::new();
     if build_speedup < 1.3 {
@@ -937,6 +946,16 @@ fn main() {
     if indexed_fallbacks == 0 {
         failed.push("indexed_fallbacks 0 (fallback accounting never engaged)".into());
     }
+    if doubling_ratio > 2.3 {
+        failed.push(format!(
+            "json_parse_doubling_ratio {doubling_ratio:.2} > 2.3"
+        ));
+    }
+    if load_vs_build >= 1.0 {
+        failed.push(format!(
+            "suite_cache_load_vs_build {load_vs_build:.2} >= 1.0"
+        ));
+    }
     if failed.is_empty() {
         eprintln!("[perf_gate] PASS");
     } else {
@@ -961,6 +980,138 @@ fn write_rows(path: &str, rows: &[Row]) {
     let body = format!("[\n{}\n]\n", json.join(",\n"));
     std::fs::write(path, &body).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("{body}");
+}
+
+/// A string-heavy JSON document of `records` arrays of strings: long
+/// escape-free story runs, every escape the printer emits, and multi-byte
+/// UTF-8. Doubling `records` doubles the byte count, less one.
+fn string_heavy_json(records: usize) -> String {
+    let story = "Mary moved to the bathroom. John went to the hallway. \
+                 Sandra journeyed to the garden. "
+        .repeat(4);
+    let record = format!(
+        r#"["{story}","where is \"Mary\"?\n","café \\ naïve \t π ☃ 𝄞 {story}","bathroom"]"#
+    );
+    format!("[{}]", vec![record; records].join(","))
+}
+
+/// JSON codec gate: parse time must scale linearly in the document size
+/// (doubling the document costs <= 2.3x; a quadratic parser reads about
+/// 4x), and loading a cached suite must be faster than rebuilding it.
+/// Returns `(json_parse_doubling_ratio, suite_cache_load_vs_build)`.
+fn codec_gate(rows: &mut Vec<Row>) -> (f64, f64) {
+    // ~0.1 MB and ~0.2 MB: small enough that both sizes stay in the same
+    // cache level, so the ratio shows the algorithm, not the hierarchy.
+    let (small, large) = (string_heavy_json(128), string_heavy_json(256));
+    let decode = |text: &str| {
+        serde_json::from_str::<Vec<Vec<String>>>(text).expect("string-heavy document parses")
+    };
+    assert_eq!(decode(&large).len(), 256, "decoded the wrong record count");
+    // Median over five interleaved-minimum trials: one trial's ratio
+    // still swings by about 0.2 on a shared core.
+    let mut trials: Vec<(f64, f64)> = (0..5)
+        .map(|_| {
+            interleaved_min_s(
+                31,
+                || {
+                    black_box(decode(&small));
+                },
+                || {
+                    black_box(decode(&large));
+                },
+            )
+        })
+        .collect();
+    trials.sort_by(|a, b| (a.1 / a.0).total_cmp(&(b.1 / b.0)));
+    let (small_s, large_s) = trials[trials.len() / 2];
+    let doubling_ratio = large_s / small_s;
+    rows.push(Row {
+        metric: "json_parse_small_mb_per_s",
+        value: small.len() as f64 / small_s / 1e6,
+        unit: "MB/s",
+    });
+    rows.push(Row {
+        metric: "json_parse_large_mb_per_s",
+        value: large.len() as f64 / large_s / 1e6,
+        unit: "MB/s",
+    });
+    rows.push(Row {
+        metric: "json_parse_doubling_ratio",
+        value: doubling_ratio,
+        unit: "x",
+    });
+    eprintln!(
+        "[perf_gate] json parse: {} B in {:.3} ms, {} B in {:.3} ms ({doubling_ratio:.2}x)",
+        small.len(),
+        small_s * 1e3,
+        large.len(),
+        large_s * 1e3,
+    );
+
+    // The benchmark's cached-suite shape: ten tasks, 2,000 test stories.
+    eprintln!("[perf_gate] training suite-cache workload ...");
+    let config = SuiteConfig {
+        tasks: TaskId::all()[..10].to_vec(),
+        train_samples: 100,
+        test_samples: 200,
+        seed: 13,
+        ..SuiteConfig::quick()
+    };
+    let dir = std::env::temp_dir().join(format!("mann_perf_gate_cache_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = SuiteCache::new(&dir);
+    let built = TaskSuite::build(&config);
+    cache
+        .store(&built, "per-task")
+        .expect("suite cache writes to the temp dir");
+    let loaded = cache
+        .load(&config, "per-task")
+        .expect("freshly stored suite loads");
+    assert_eq!(loaded, built, "cached load differs from the built suite");
+    let (load_s, build_s) = interleaved_min_s(
+        3,
+        || {
+            black_box(cache.load(&config, "per-task"));
+        },
+        || {
+            black_box(TaskSuite::build(&config));
+        },
+    );
+    let cache_bytes = std::fs::read_dir(&dir)
+        .map(|entries| {
+            entries
+                .filter_map(|e| e.ok()?.metadata().ok())
+                .map(|m| m.len())
+                .sum::<u64>()
+        })
+        .unwrap_or(0);
+    let _ = std::fs::remove_dir_all(&dir);
+    let load_vs_build = load_s / build_s;
+    rows.push(Row {
+        metric: "suite_cache_bytes",
+        value: cache_bytes as f64,
+        unit: "bytes",
+    });
+    rows.push(Row {
+        metric: "suite_cache_load_s",
+        value: load_s,
+        unit: "s",
+    });
+    rows.push(Row {
+        metric: "suite_build_s",
+        value: build_s,
+        unit: "s",
+    });
+    rows.push(Row {
+        metric: "suite_cache_load_vs_build",
+        value: load_vs_build,
+        unit: "x",
+    });
+    eprintln!(
+        "[perf_gate] suite cache: load {:.3} s vs build {:.3} s ({load_vs_build:.2}x, {cache_bytes} B)",
+        load_s, build_s,
+    );
+    (doubling_ratio, load_vs_build)
 }
 
 /// Times the production serving engine against the vendored pre-cache

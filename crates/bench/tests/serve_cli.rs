@@ -1,5 +1,6 @@
 //! The `serve` binary's usage errors: every malformed flag exits with
-//! status 2 and a message, before any training, and never panics.
+//! status 2 and a message, before any training, and never panics or
+//! overflows its stack.
 
 use std::process::Command;
 
@@ -18,6 +19,10 @@ fn assert_usage_error(args: &[&str]) {
     assert!(
         !stderr.contains("panicked"),
         "serve {args:?} panicked:\n{stderr}"
+    );
+    assert!(
+        !stderr.contains("overflowed its stack"),
+        "serve {args:?} overflowed its stack:\n{stderr}"
     );
     assert!(
         !stderr.contains("training"),
@@ -67,4 +72,16 @@ fn flags_without_a_value_are_rejected() {
     ] {
         assert_usage_error(&[flag]);
     }
+}
+
+#[test]
+fn plan_files_nested_past_the_parser_cap_are_rejected() {
+    let dir = std::env::temp_dir().join(format!("mann_serve_cli_deep_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("deep.json");
+    std::fs::write(&path, "[".repeat(200_000)).expect("write deep plan");
+    let path = path.to_str().expect("utf-8 temp path");
+    assert_usage_error(&["--fault-plan", path]);
+    assert_usage_error(&["--shards", "2", "--membership-plan", path]);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -49,7 +49,7 @@ use mann_hw::{AccelConfig, Accelerator, DatapathConfig, MemIndexConfig, PcieLink
 use mann_linalg::{Matrix, Vector};
 use mann_serve::{
     ArrivalTrace, Cluster, ClusterConfig, HopPrune, MembershipPlan, SchedulePolicy, ServeConfig,
-    Server, TraceConfig,
+    Server, Spec, TraceConfig,
 };
 use memn2n::{train_step, ModelConfig, Params, TrainConfig, Trainer, Workspace};
 
@@ -1497,7 +1497,7 @@ fn membership_gate(rows: &mut Vec<Row>) -> f64 {
         .serve(&burst)
     };
     let pinned = fleet(MembershipPlan::none());
-    let split = fleet(MembershipPlan::parse_spec("hot-key=8").expect("valid hot-key spec"));
+    let split = fleet(MembershipPlan::parse("hot-key=8").expect("valid hot-key spec"));
     assert_eq!(
         pinned.report.completed,
         burst.len(),

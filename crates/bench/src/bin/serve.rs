@@ -95,6 +95,12 @@
 //! `membership` report section; an empty plan leaves every report byte
 //! unchanged.
 //!
+//! Every flag and `MANN_*` value is read and range-checked through
+//! `mann_serve::spec` before any training: a malformed or out-of-range
+//! value (a duration past the `SIM_HORIZON_S` simulated-time horizon, a
+//! non-positive link bandwidth, a non-finite embedding scale) exits with
+//! status 2 and a message naming the flag, variable or key.
+//!
 //! The serve is a pure function of `(suite, trace, config)`: rerunning
 //! with the same flags — at any `MANN_THREADS` — prints byte-identical
 //! numbers, and the `answers digest` line is invariant across
@@ -103,11 +109,10 @@
 
 use mann_bench::HarnessArgs;
 use mann_core::write_json_report;
-use mann_hw::{MemIndexConfig, StoryCache, DEFAULT_STORY_CACHE};
+use mann_serve::spec::{self, Field, Setter};
 use mann_serve::{
-    serve_cluster_durable, serve_durable, ArrivalTrace, Cluster, ClusterConfig, EngineMode,
-    FaultConfig, HopPrune, MembershipPlan, NumericPolicy, SchedulePolicy, ServeConfig, Server,
-    TraceConfig, WalConfig,
+    serve_cluster_durable, serve_durable, ArrivalTrace, Cluster, ClusterConfig, NumericPolicy,
+    Server, Spec, StoryCacheSize, TraceConfig,
 };
 
 /// Prints a CLI-usage error and exits with status 2.
@@ -117,290 +122,210 @@ fn usage_bail(msg: impl std::fmt::Display) -> ! {
 }
 
 struct ServeArgs {
-    instances: usize,
-    policy: SchedulePolicy,
     requests: usize,
-    queue: usize,
-    batch: usize,
-    inflight: usize,
     rate_us: f64,
     trace_seed: u64,
-    ith: bool,
-    story_cache: usize,
     story_pool: usize,
-    engine: EngineMode,
-    faults: FaultConfig,
-    numeric_policy: NumericPolicy,
     embed_scale: f32,
-    batch_window: usize,
-    hop_prune: HopPrune,
-    mem_index: MemIndexConfig,
-    link_gbps: Option<f64>,
-    link_latency_us: Option<f64>,
-    shards: usize,
-    replication: usize,
-    weights: Vec<u32>,
-    membership: MembershipPlan,
-    wal: WalConfig,
+    /// The whole serve configuration; `cluster.base` is the per-node one.
+    cluster: ClusterConfig,
+    // Overrides of one knob of whatever plan or WAL spec is loaded,
+    // applied after every flag is read so flag order does not matter.
+    watchdog_s: Option<f64>,
+    max_retries: Option<u32>,
+    snapshot_every: Option<u64>,
+    hot_key_threshold: Option<u64>,
 }
 
-/// Parses a `--weights` list: one routing weight per shard, each a
-/// positive integer below 2^16. Anything else — zero, negative,
-/// fractional, non-finite, or out of range — is a hard error; weights
-/// are never silently clamped into range.
-fn parse_weights(spec: &str) -> Result<Vec<u32>, String> {
-    spec.split(',')
-        .map(str::trim)
-        .map(|tok| {
-            let v: f64 = tok
-                .parse()
-                .map_err(|_| format!("invalid shard weight {tok:?}: expected a number"))?;
-            if !v.is_finite() {
-                return Err(format!("invalid shard weight {tok:?}: must be finite"));
-            }
-            if v <= 0.0 {
-                return Err(format!("invalid shard weight {tok:?}: must be positive"));
-            }
-            if v.fract() != 0.0 {
-                return Err(format!("invalid shard weight {tok:?}: must be an integer"));
-            }
-            if v >= f64::from(1u32 << 16) {
-                return Err(format!("invalid shard weight {tok:?}: must be below 65536"));
-            }
-            Ok(v as u32)
-        })
-        .collect()
+/// One `--weights` entry: a positive integer below 2^16 (written in any
+/// number form, e.g. `2` or `2.0`). Weights are never silently clamped.
+fn weight(f: Field<'_>) -> Result<u32, spec::SpecError> {
+    let w = f.ranged::<f64>(spec::positive)?;
+    if w.fract() != 0.0 || w >= f64::from(1u32 << 16) {
+        return Err(f.err("must be an integer below 65536"));
+    }
+    Ok(w as u32)
+}
+
+/// Every serve flag that takes a value, and where the value lands.
+/// `--ith` takes none; the shared flags are read by `HarnessArgs`.
+const FLAGS: &[(&str, Setter<ServeArgs>)] = &[
+    ("--instances", |a, f| {
+        f.count().map(|v| a.node().instances = v)
+    }),
+    ("--policy", |a, f| f.spec().map(|v| a.node().policy = v)),
+    ("--requests", |a, f| f.count().map(|v| a.requests = v)),
+    ("--queue", |a, f| {
+        f.count().map(|v| a.node().queue_capacity = v)
+    }),
+    ("--batch", |a, f| {
+        f.count().map(|v| a.node().upload_batch = v)
+    }),
+    ("--inflight", |a, f| {
+        f.count().map(|v| a.node().inflight_limit = v)
+    }),
+    ("--rate-us", |a, f| {
+        f.ranged::<f64>(spec::positive).map(|v| a.rate_us = v)
+    }),
+    ("--trace-seed", |a, f| f.count().map(|v| a.trace_seed = v)),
+    ("--story-cache", |a, f| {
+        f.spec::<StoryCacheSize>()
+            .map(|v| a.node().story_cache = v.0)
+    }),
+    ("--pool", |a, f| f.count().map(|v| a.story_pool = v)),
+    ("--engine", |a, f| f.spec().map(|v| a.node().engine = v)),
+    ("--fault-plan", |a, f| f.spec().map(|v| a.node().faults = v)),
+    ("--watchdog", |a, f| {
+        f.micros().map(|v| a.watchdog_s = Some(v))
+    }),
+    ("--max-retries", |a, f| {
+        f.count().map(|v| a.max_retries = Some(v))
+    }),
+    ("--numeric-policy", |a, f| {
+        f.spec().map(|v| a.node().numeric_policy = v)
+    }),
+    ("--embed-scale", |a, f| {
+        f.ranged::<f32>(spec::finite)
+            .map(|v| a.embed_scale = v as f32)
+    }),
+    ("--batch-window", |a, f| {
+        f.count().map(|v| a.node().batch_window = v)
+    }),
+    ("--hop-prune", |a, f| {
+        f.spec().map(|v| a.node().hop_prune = v)
+    }),
+    ("--mem-index", |a, f| {
+        f.spec().map(|v| a.node().mem_index = v)
+    }),
+    ("--link-gbps", |a, f| {
+        f.ranged::<f64>(spec::positive)
+            .map(|v| a.node().pcie.bandwidth_bytes_per_s = v * 1e9)
+    }),
+    ("--link-latency-us", |a, f| {
+        f.micros().map(|v| a.node().pcie.latency_per_transfer_s = v)
+    }),
+    // A bare directory or a full MANN_WAL spec (`dir,snap=N,...`); either
+    // way it replaces the env-derived config wholesale so flags win.
+    ("--wal-dir", |a, f| f.spec().map(|v| a.node().wal = v)),
+    ("--snapshot-every", |a, f| {
+        f.count().map(|v| a.snapshot_every = Some(v))
+    }),
+    ("--shards", |a, f| f.count().map(|v| a.cluster.shards = v)),
+    ("--replication", |a, f| {
+        f.count().map(|v| a.cluster.replication = v)
+    }),
+    ("--weights", |a, f| {
+        f.value
+            .split(',')
+            .map(|w| weight(f.with_value(w)))
+            .collect::<Result<_, _>>()
+            .map(|v| a.cluster.weights = v)
+    }),
+    ("--membership-plan", |a, f| {
+        f.spec().map(|v| a.cluster.membership = v)
+    }),
+    ("--hot-key-threshold", |a, f| {
+        f.count().map(|v| a.hot_key_threshold = Some(v))
+    }),
+];
+
+/// Reads a knob's environment variable; a malformed value is a usage
+/// error, never a silent fallback to the default.
+fn env<T: Spec>() -> T {
+    T::from_env().unwrap_or_else(|e| usage_bail(e))
 }
 
 impl ServeArgs {
+    /// Reads every flag and checks the whole configuration, so a bad
+    /// value exits before any training.
     fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
         let mut out = Self {
-            instances: 2,
-            policy: SchedulePolicy::ShortestQueue,
             requests: 256,
-            queue: 64,
-            batch: 4,
-            inflight: 2,
             rate_us: 200.0,
             trace_seed: 0,
-            ith: false,
-            // Env defaults so a whole experiment sweep can be reconfigured
-            // without touching every invocation; flags still win. Invalid
-            // env values are hard errors — a typo must not silently serve
-            // with the default.
-            story_cache: StoryCache::capacity_from_env()
-                .unwrap_or_else(|e| usage_bail(e))
-                .unwrap_or(DEFAULT_STORY_CACHE),
             story_pool: 0,
-            engine: EngineMode::from_env().unwrap_or_else(|e| usage_bail(e)),
-            faults: FaultConfig::none(),
-            numeric_policy: NumericPolicy::from_env().unwrap_or_else(|e| usage_bail(e)),
             embed_scale: 1.0,
-            batch_window: 0,
-            hop_prune: HopPrune::from_env().unwrap_or_else(|e| usage_bail(e)),
-            mem_index: MemIndexConfig::from_env().unwrap_or_else(|e| usage_bail(e)),
-            link_gbps: None,
-            link_latency_us: None,
-            shards: 1,
-            replication: 1,
-            weights: Vec::new(),
-            membership: MembershipPlan::none(),
-            wal: WalConfig::from_env().unwrap_or_else(|e| usage_bail(e)),
+            // Env defaults let a whole sweep be reconfigured without
+            // touching every invocation; flags still win.
+            cluster: ClusterConfig {
+                base: mann_serve::ServeConfig {
+                    story_cache: env::<StoryCacheSize>().0,
+                    engine: env(),
+                    numeric_policy: env(),
+                    hop_prune: env(),
+                    mem_index: env(),
+                    wal: env(),
+                    ..mann_serve::ServeConfig::default()
+                },
+                ..ClusterConfig::default()
+            },
+            watchdog_s: None,
+            max_retries: None,
+            snapshot_every: None,
+            hot_key_threshold: None,
         };
-        let mut snapshot_every: Option<u64> = None;
-        let mut hot_key_threshold: Option<u64> = None;
-        let mut watchdog_us: Option<f64> = None;
-        let mut max_retries: Option<u32> = None;
         let mut it = args.into_iter();
-        while let Some(key) = it.next() {
-            let mut grab = |name: &str| -> String {
-                it.next()
-                    .unwrap_or_else(|| usage_bail(format!("usage: {name} <value>")))
-            };
-            let num = |name: &str, v: String| -> u64 {
-                v.parse().unwrap_or_else(|_| {
-                    usage_bail(format!(
-                        "invalid {name} {v:?}: expected a non-negative integer"
-                    ))
-                })
-            };
-            match key.as_str() {
-                "--instances" => out.instances = num("--instances", grab("--instances")) as usize,
-                "--policy" => {
-                    let v = grab("--policy");
-                    out.policy = SchedulePolicy::parse(&v)
-                        .unwrap_or_else(|| usage_bail("usage: --policy rr|sq|affinity"));
-                }
-                "--requests" => out.requests = num("--requests", grab("--requests")) as usize,
-                "--queue" => out.queue = num("--queue", grab("--queue")) as usize,
-                "--batch" => out.batch = num("--batch", grab("--batch")) as usize,
-                "--inflight" => out.inflight = num("--inflight", grab("--inflight")) as usize,
-                "--rate-us" => {
-                    let v = grab("--rate-us");
-                    out.rate_us = v
-                        .parse()
-                        .ok()
-                        .filter(|us: &f64| us.is_finite() && *us > 0.0)
-                        .unwrap_or_else(|| {
-                            usage_bail(format!(
-                                "invalid --rate-us {v:?}: expected a positive, finite \
-                                 mean inter-arrival time in microseconds"
-                            ))
-                        });
-                }
-                "--trace-seed" => out.trace_seed = num("--trace-seed", grab("--trace-seed")),
-                "--ith" => out.ith = true,
-                "--story-cache" => {
-                    out.story_cache = num("--story-cache", grab("--story-cache")) as usize;
-                }
-                "--pool" => out.story_pool = num("--pool", grab("--pool")) as usize,
-                "--engine" => {
-                    let v = grab("--engine");
-                    out.engine = EngineMode::parse(&v).unwrap_or_else(|e| usage_bail(e));
-                }
-                "--fault-plan" => {
-                    let v = grab("--fault-plan");
-                    out.faults = FaultConfig::from_arg(&v).unwrap_or_else(|e| usage_bail(e));
-                }
-                "--watchdog" => {
-                    let v = grab("--watchdog");
-                    watchdog_us = Some(
-                        v.parse()
-                            .unwrap_or_else(|_| usage_bail("usage: --watchdog <microseconds>")),
-                    );
-                }
-                "--max-retries" => {
-                    let n = num("--max-retries", grab("--max-retries"));
-                    max_retries = Some(u32::try_from(n).unwrap_or_else(|_| {
-                        usage_bail(format!("invalid --max-retries {n}: must fit in 32 bits"))
-                    }));
-                }
-                "--numeric-policy" => {
-                    let v = grab("--numeric-policy");
-                    out.numeric_policy = NumericPolicy::parse(&v).unwrap_or_else(|e| usage_bail(e));
-                }
-                "--embed-scale" => {
-                    let v = grab("--embed-scale");
-                    out.embed_scale = v
-                        .parse()
-                        .unwrap_or_else(|_| usage_bail("usage: --embed-scale <factor>"));
-                }
-                "--batch-window" => {
-                    let v = grab("--batch-window");
-                    out.batch_window = v.parse().unwrap_or_else(|_| {
-                        usage_bail(format!(
-                            "invalid --batch-window {v:?}: expected a request count (0 disables)"
-                        ))
-                    });
-                }
-                "--hop-prune" => {
-                    let v = grab("--hop-prune");
-                    out.hop_prune = HopPrune::parse(&v).unwrap_or_else(|e| usage_bail(e));
-                }
-                "--mem-index" => {
-                    let v = grab("--mem-index");
-                    out.mem_index = MemIndexConfig::parse(&v).unwrap_or_else(|e| usage_bail(e));
-                }
-                "--link-gbps" => {
-                    let v = grab("--link-gbps");
-                    out.link_gbps = Some(v.parse().unwrap_or_else(|_| {
-                        usage_bail(format!("invalid --link-gbps {v:?}: expected GB/s"))
-                    }));
-                }
-                "--wal-dir" => {
-                    let v = grab("--wal-dir");
-                    // The flag takes a bare directory or a full MANN_WAL
-                    // spec (`dir,snap=N,...`); either way it replaces the
-                    // env-derived config wholesale so flags win cleanly.
-                    out.wal = WalConfig::parse(&v).unwrap_or_else(|e| usage_bail(e));
-                }
-                "--snapshot-every" => {
-                    let v = grab("--snapshot-every");
-                    snapshot_every = Some(v.parse().unwrap_or_else(|_| {
-                        usage_bail(format!(
-                            "invalid --snapshot-every {v:?}: expected a record count (0 disables)"
-                        ))
-                    }));
-                }
-                "--shards" => out.shards = num("--shards", grab("--shards")) as usize,
-                "--replication" => {
-                    out.replication = num("--replication", grab("--replication")) as usize;
-                }
-                "--weights" => {
-                    let v = grab("--weights");
-                    out.weights = parse_weights(&v).unwrap_or_else(|e| usage_bail(e));
-                }
-                "--membership-plan" => {
-                    let v = grab("--membership-plan");
-                    out.membership = MembershipPlan::from_arg(&v).unwrap_or_else(|e| usage_bail(e));
-                }
-                "--hot-key-threshold" => {
-                    hot_key_threshold =
-                        Some(num("--hot-key-threshold", grab("--hot-key-threshold")));
-                }
-                "--link-latency-us" => {
-                    let v = grab("--link-latency-us");
-                    out.link_latency_us = Some(v.parse().unwrap_or_else(|_| {
-                        usage_bail(format!(
-                            "invalid --link-latency-us {v:?}: expected microseconds"
-                        ))
-                    }));
-                }
-                _ => {} // shared HarnessArgs flags
+        while let Some(flag) = it.next() {
+            if flag == "--ith" {
+                out.cluster.base.use_ith = true;
+                continue;
             }
+            let Some(&(name, set)) = FLAGS.iter().find(|(name, _)| *name == flag) else {
+                continue; // a shared HarnessArgs flag
+            };
+            let value = it
+                .next()
+                .unwrap_or_else(|| usage_bail(format!("usage: {name} <value>")));
+            set(&mut out, Field::new(name, &value)).unwrap_or_else(|e| usage_bail(e));
         }
-        if let Some(n) = snapshot_every {
-            if !out.wal.enabled {
+        let base = &mut out.cluster.base;
+        if let Some(s) = out.watchdog_s {
+            base.faults.watchdog_s = s;
+        }
+        if let Some(r) = out.max_retries {
+            base.faults.max_retries = r;
+        }
+        if let Some(n) = out.snapshot_every {
+            if !base.wal.enabled {
                 usage_bail(
                     "--snapshot-every requires the write-ahead log (--wal-dir or MANN_WAL): \
                      there is no journal to compact",
                 );
             }
-            out.wal.snapshot_every = n;
+            base.wal.snapshot_every = n;
         }
-        if let Some(n) = hot_key_threshold {
-            out.membership.hot_key_threshold = n;
-            if let Err(e) = out.membership.validate() {
-                usage_bail(e);
-            }
+        if let Some(n) = out.hot_key_threshold {
+            out.cluster.membership.hot_key_threshold = n;
         }
-        // Zero shards or replicas would otherwise fall through to the
-        // single-node path; the cluster's own rule rejects them up front.
-        let topology = ClusterConfig {
-            shards: out.shards,
-            replication: out.replication,
-            ..ClusterConfig::default()
-        };
-        if let Err(e) = topology.validate() {
-            usage_bail(e);
-        }
-        let clustered = out.shards > 1 || out.replication > 1;
-        if !clustered {
+        if !out.clustered() {
             // These knobs only exist at the cluster layer; accepting them
             // on a single-node run would silently serve without them.
-            if !out.membership.is_empty() {
+            if !out.cluster.membership.is_empty() {
                 usage_bail(
                     "--membership-plan / --hot-key-threshold need a cluster \
                      (--shards > 1): a single node has no membership to change",
                 );
             }
-            if !out.weights.is_empty() {
+            if !out.cluster.weights.is_empty() {
                 usage_bail("--weights needs a cluster (--shards > 1)");
             }
         }
-        if let Some(us) = watchdog_us {
-            out.faults.watchdog_s = us * 1e-6;
-        }
-        if let Some(r) = max_retries {
-            out.faults.max_retries = r;
-        }
-        if let Err(e) = out.faults.validate() {
-            usage_bail(e);
-        }
-        if let Err(e) = out.wal.validate() {
+        // Also rejects zero shards or replicas, which would otherwise fall
+        // through to the single-node path.
+        if let Err(e) = out.cluster.validate() {
             usage_bail(e);
         }
         out
+    }
+
+    /// The per-node serve configuration.
+    fn node(&mut self) -> &mut mann_serve::ServeConfig {
+        &mut self.cluster.base
+    }
+
+    /// Whether the run needs the cluster layer; at K=1/R=1 it is inert.
+    fn clustered(&self) -> bool {
+        self.cluster.shards > 1 || self.cluster.replication > 1
     }
 }
 
@@ -408,6 +333,7 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = HarnessArgs::try_parse(argv.clone()).unwrap_or_else(|e| usage_bail(e));
     let serve_args = ServeArgs::parse(argv);
+    let clustered = serve_args.clustered();
 
     eprintln!(
         "[serve] training {} tasks ({} train / {} test, seed {}) ...",
@@ -437,34 +363,7 @@ fn main() {
         },
         &suite,
     );
-    let mut pcie = ServeConfig::default().pcie;
-    if let Some(g) = serve_args.link_gbps {
-        pcie.bandwidth_bytes_per_s = g * 1e9;
-    }
-    if let Some(us) = serve_args.link_latency_us {
-        pcie.latency_per_transfer_s = us * 1e-6;
-    }
-    let config = ServeConfig {
-        pcie,
-        instances: serve_args.instances,
-        queue_capacity: serve_args.queue,
-        inflight_limit: serve_args.inflight,
-        upload_batch: serve_args.batch,
-        policy: serve_args.policy,
-        use_ith: serve_args.ith,
-        story_cache: serve_args.story_cache,
-        engine: serve_args.engine,
-        faults: serve_args.faults,
-        numeric_policy: serve_args.numeric_policy,
-        batch_window: serve_args.batch_window,
-        hop_prune: serve_args.hop_prune,
-        mem_index: serve_args.mem_index,
-        wal: serve_args.wal,
-        ..ServeConfig::default()
-    };
-    if let Err(e) = config.validate() {
-        usage_bail(e);
-    }
+    let config = &serve_args.cluster.base;
     eprintln!(
         "[serve] {} requests (mean inter-arrival {} us, trace seed {}, story pool {}) over \
          {} instance(s), policy {}, queue {}, upload batch {}, ith {}, story cache {}, \
@@ -521,41 +420,30 @@ fn main() {
         );
     }
 
-    if serve_args.shards > 1 || serve_args.replication > 1 {
-        let cluster_config = ClusterConfig {
-            shards: serve_args.shards,
-            replication: serve_args.replication,
-            weights: serve_args.weights,
-            membership: serve_args.membership,
-            base: config,
-            ..ClusterConfig::default()
-        };
-        if let Err(e) = cluster_config.validate() {
-            usage_bail(e);
-        }
+    if clustered {
+        let cluster = Cluster::new(&suite, serve_args.cluster);
+        let c = cluster.config();
         eprintln!(
             "[serve] cluster of {} shard(s), replication {} (rendezvous story routing)",
-            cluster_config.shards, cluster_config.replication
+            c.shards, c.replication
         );
-        if !cluster_config.membership.is_empty() {
-            let m = &cluster_config.membership;
+        if !c.membership.is_empty() {
             eprintln!(
                 "[serve] membership campaign active: {} event(s), retune threshold {}, \
                  hot-key threshold {}",
-                m.events.len(),
-                m.retune_threshold,
-                m.hot_key_threshold,
+                c.membership.events.len(),
+                c.membership.retune_threshold,
+                c.membership.hot_key_threshold,
             );
         }
-        let cluster = Cluster::new(&suite, cluster_config);
         let outcome = serve_cluster_durable(&cluster, &trace).unwrap_or_else(|e| usage_bail(e));
         println!(
             "Served {} requests across {} shard(s) x {} instance(s), replication {}, policy {}",
             trace.len(),
             outcome.report.shards,
-            serve_args.instances,
+            c.base.instances,
             outcome.report.replication,
-            serve_args.policy
+            c.base.policy
         );
         println!("{}", outcome.report.render());
         let path = "target/experiments/serve_cluster_report.json";
@@ -566,7 +454,7 @@ fn main() {
         return;
     }
 
-    let server = Server::new(&suite, config);
+    let server = Server::new(&suite, serve_args.cluster.base);
     let outcome = serve_durable(&server, &trace).unwrap_or_else(|e| usage_bail(e));
     println!(
         "Served {} requests across {} instance(s), policy {}",

@@ -63,18 +63,6 @@ impl Default for MemIndexConfig {
     }
 }
 
-/// A malformed mem-index spec (CLI flag or `MANN_MEM_INDEX`). Invalid
-/// values are rejected rather than silently falling back to the default.
-#[derive(Debug, Clone, PartialEq, thiserror::Error)]
-#[error(
-    "invalid mem-index spec {value:?}: expected `off` or `k,nprobe,band` \
-     with k >= 1, 1 <= nprobe <= k, and a finite band >= 0"
-)]
-pub struct MemIndexError {
-    /// The rejected input.
-    pub value: String,
-}
-
 impl MemIndexConfig {
     /// An enabled index with the given parameters.
     ///
@@ -97,48 +85,6 @@ impl MemIndexConfig {
             k,
             nprobe,
             band,
-        }
-    }
-
-    /// Parses a CLI-style spec: `off` disables the index, anything else
-    /// must be `k,nprobe,band`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemIndexError`] for malformed input: wrong arity,
-    /// non-numeric parts, `k < 1`, `nprobe` outside `1..=k`, or a
-    /// negative/non-finite band.
-    pub fn parse(s: &str) -> Result<Self, MemIndexError> {
-        if s == "off" {
-            return Ok(Self::default());
-        }
-        let err = || MemIndexError {
-            value: s.to_owned(),
-        };
-        let parts: Vec<&str> = s.split(',').collect();
-        let [k, nprobe, band] = parts.as_slice() else {
-            return Err(err());
-        };
-        let k: usize = k.trim().parse().map_err(|_| err())?;
-        let nprobe: usize = nprobe.trim().parse().map_err(|_| err())?;
-        let band: f32 = band.trim().parse().map_err(|_| err())?;
-        if k < 1 || nprobe < 1 || nprobe > k || !band.is_finite() || band < 0.0 {
-            return Err(err());
-        }
-        Ok(Self::with_params(k, nprobe, band))
-    }
-
-    /// Config from the `MANN_MEM_INDEX` environment variable, falling back
-    /// to the default (off) when unset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemIndexError`] when the variable is set to a malformed
-    /// value.
-    pub fn from_env() -> Result<Self, MemIndexError> {
-        match std::env::var("MANN_MEM_INDEX") {
-            Err(_) => Ok(Self::default()),
-            Ok(v) => Self::parse(&v),
         }
     }
 }
@@ -414,14 +360,30 @@ mod tests {
         assert_eq!(c.to_string(), "off");
     }
 
+    /// The text grammar lives in `mann_serve::spec`. That dev-dependency
+    /// links its own build of this crate, so its value is copied back
+    /// field by field.
+    fn own(c: mann_serve::MemIndexConfig) -> MemIndexConfig {
+        MemIndexConfig {
+            enabled: c.enabled,
+            k: c.k,
+            nprobe: c.nprobe,
+            band: c.band,
+        }
+    }
+
+    fn parse(s: &str) -> Result<MemIndexConfig, mann_serve::SpecError> {
+        <mann_serve::MemIndexConfig as mann_serve::Spec>::parse(s).map(own)
+    }
+
     #[test]
     fn parse_round_trips() {
-        assert_eq!(MemIndexConfig::parse("off"), Ok(MemIndexConfig::default()));
-        let c = MemIndexConfig::parse("64,8,0.5").unwrap();
+        assert_eq!(parse("off"), Ok(MemIndexConfig::default()));
+        let c = parse("64,8,0.5").unwrap();
         assert_eq!(c, MemIndexConfig::with_params(64, 8, 0.5));
-        assert_eq!(MemIndexConfig::parse(&c.to_string()), Ok(c));
+        assert_eq!(parse(&c.to_string()), Ok(c));
         assert_eq!(
-            MemIndexConfig::parse(&MemIndexConfig::default().to_string()),
+            parse(&MemIndexConfig::default().to_string()),
             Ok(MemIndexConfig::default())
         );
     }
@@ -444,8 +406,15 @@ mod tests {
             "8,y,0",
             "8,4,z",
         ] {
-            let err = MemIndexConfig::parse(bad).unwrap_err();
-            assert!(err.to_string().contains(bad) || bad.is_empty(), "{bad}");
+            let err = parse(bad).unwrap_err();
+            assert_eq!(err.knob, "mem-index spec", "{bad}");
+            // The whole text, or the one `k,nprobe,band` part at fault.
+            let part = ["k", "nprobe", "band"]
+                .iter()
+                .position(|&key| key == err.key)
+                .map(|i| bad.split(',').nth(i).unwrap());
+            assert_eq!(err.value, part.unwrap_or(bad), "{bad}: {err}");
+            assert!(err.to_string().contains(&err.value), "{bad}: {err}");
         }
     }
 
@@ -454,7 +423,8 @@ mod tests {
         // Unset: default. (Set/invalid paths are covered through `parse`;
         // mutating the process environment races other tests.)
         if std::env::var("MANN_MEM_INDEX").is_err() {
-            assert_eq!(MemIndexConfig::from_env(), Ok(MemIndexConfig::default()));
+            let c = <mann_serve::MemIndexConfig as mann_serve::Spec>::from_env().map(own);
+            assert_eq!(c, Ok(MemIndexConfig::default()));
         }
     }
 

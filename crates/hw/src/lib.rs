@@ -69,11 +69,8 @@ pub use energy::PowerModel;
 pub use fault::{
     fault_coin, fault_mix, inject_upsets, inject_upsets_in_bits, shard_fault_seed, UpsetSite,
 };
-pub use index::{IndexCounters, IndexedHopStats, MemIndex, MemIndexConfig, MemIndexError};
+pub use index::{IndexCounters, IndexedHopStats, MemIndex, MemIndexConfig};
 pub use pcie::{LinkArbiter, LinkGrant, PcieLink};
 pub use quantize::{quantize_params, quantize_params_tracked};
 pub use resource::{ResourceEstimate, VCU107_BUDGET};
-pub use story::{
-    story_digest, Admission, CacheStats, LruSet, StoryCache, StoryCacheEnvError,
-    DEFAULT_STORY_CACHE,
-};
+pub use story::{story_digest, Admission, CacheStats, LruSet, StoryCache, DEFAULT_STORY_CACHE};

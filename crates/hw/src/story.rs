@@ -20,17 +20,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::accel::ResidentStory;
 
-/// Default resident-story capacity per instance (see `MANN_STORY_CACHE`).
+/// Default resident-story capacity per instance (`MANN_STORY_CACHE`
+/// overrides it for the serve binary).
 pub const DEFAULT_STORY_CACHE: usize = 16;
-
-/// An unusable `MANN_STORY_CACHE` value: set, but not a non-negative
-/// integer story count (`0` disables caching).
-#[derive(Debug, Clone, PartialEq, Eq, thiserror::Error)]
-#[error("invalid MANN_STORY_CACHE value {value:?}: expected a non-negative integer story count (0 disables caching)")]
-pub struct StoryCacheEnvError {
-    /// The rejected input.
-    pub value: String,
-}
 
 /// FNV-1a digest of a sample's *story* (sentence shapes and word indices;
 /// the question is deliberately excluded). Two samples with the same story
@@ -257,39 +249,6 @@ impl StoryCache {
             entries: Vec::with_capacity(capacity),
             stats: CacheStats::default(),
         }
-    }
-
-    /// Capacity override from the `MANN_STORY_CACHE` environment variable:
-    /// `Ok(None)` when unset, `Ok(Some(n))` when set to a story count.
-    /// An unparseable value is an error, not a silent fallback —
-    /// `MANN_STORY_CACHE=sixteen` should fail loudly rather than quietly
-    /// serve with the default capacity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoryCacheEnvError`] when the variable is set but not a
-    /// non-negative integer.
-    pub fn capacity_from_env() -> Result<Option<usize>, StoryCacheEnvError> {
-        match std::env::var("MANN_STORY_CACHE") {
-            Err(_) => Ok(None),
-            Ok(v) => match v.parse() {
-                Ok(n) => Ok(Some(n)),
-                Err(_) => Err(StoryCacheEnvError { value: v }),
-            },
-        }
-    }
-
-    /// Capacity from the `MANN_STORY_CACHE` environment variable, falling
-    /// back to [`DEFAULT_STORY_CACHE`] when unset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoryCacheEnvError`] when the variable is set but
-    /// unparseable.
-    pub fn from_env() -> Result<Self, StoryCacheEnvError> {
-        Ok(Self::new(
-            Self::capacity_from_env()?.unwrap_or(DEFAULT_STORY_CACHE),
-        ))
     }
 
     /// Maximum resident stories.

@@ -58,5 +58,5 @@ pub mod threshold;
 pub use calibrate::{LogitStats, PriorMode, ThresholdingCalibrator, ThresholdingModel};
 pub use guard::ExitGuard;
 pub use kde::{Kde, Kernel};
-pub use prune::{HopPrune, HopPruneError};
+pub use prune::HopPrune;
 pub use search::{ExhaustiveMips, MipsResult, MipsStrategy, ThresholdedMips};

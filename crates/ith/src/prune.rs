@@ -45,15 +45,6 @@ impl Default for HopPrune {
     }
 }
 
-/// A malformed hop-prune spec (CLI flag or `MANN_HOP_PRUNE`). Invalid
-/// values are rejected rather than silently falling back to the default.
-#[derive(Debug, Clone, PartialEq, thiserror::Error)]
-#[error("invalid hop-prune threshold {value:?}: expected `off` or a number in (0, 1]")]
-pub struct HopPruneError {
-    /// The rejected input.
-    pub value: String,
-}
-
 impl HopPrune {
     /// An enabled criterion with the given convergence threshold.
     ///
@@ -68,39 +59,6 @@ impl HopPrune {
         HopPrune {
             enabled: true,
             threshold,
-        }
-    }
-
-    /// Parses a CLI-style spec: `off` disables pruning, anything else must
-    /// be a threshold in `(0, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HopPruneError`] for non-numeric input or a threshold
-    /// outside `(0, 1]`.
-    pub fn parse(s: &str) -> Result<Self, HopPruneError> {
-        if s == "off" {
-            return Ok(Self::default());
-        }
-        match s.parse::<f32>() {
-            Ok(t) if t > 0.0 && t <= 1.0 => Ok(Self::with_threshold(t)),
-            _ => Err(HopPruneError {
-                value: s.to_owned(),
-            }),
-        }
-    }
-
-    /// Criterion from the `MANN_HOP_PRUNE` environment variable, falling
-    /// back to the default (off) when unset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HopPruneError`] when the variable is set to a malformed
-    /// value.
-    pub fn from_env() -> Result<Self, HopPruneError> {
-        match std::env::var("MANN_HOP_PRUNE") {
-            Err(_) => Ok(Self::default()),
-            Ok(v) => Self::parse(&v),
         }
     }
 
@@ -134,14 +92,28 @@ mod tests {
         assert!(!p.fires(f32::INFINITY));
     }
 
+    /// The text grammar lives in `mann_serve::spec`. That dev-dependency
+    /// links its own build of this crate, so its value is copied back
+    /// field by field.
+    fn own(p: mann_serve::HopPrune) -> HopPrune {
+        HopPrune {
+            enabled: p.enabled,
+            threshold: p.threshold,
+        }
+    }
+
+    fn parse(s: &str) -> Result<HopPrune, mann_serve::SpecError> {
+        <mann_serve::HopPrune as mann_serve::Spec>::parse(s).map(own)
+    }
+
     #[test]
     fn parse_round_trips() {
-        assert_eq!(HopPrune::parse("off"), Ok(HopPrune::default()));
-        let p = HopPrune::parse("0.9").unwrap();
+        assert_eq!(parse("off"), Ok(HopPrune::default()));
+        let p = parse("0.9").unwrap();
         assert_eq!(p, HopPrune::with_threshold(0.9));
-        assert_eq!(HopPrune::parse(&p.to_string()), Ok(p));
+        assert_eq!(parse(&p.to_string()), Ok(p));
         assert_eq!(
-            HopPrune::parse(&HopPrune::default().to_string()),
+            parse(&HopPrune::default().to_string()),
             Ok(HopPrune::default())
         );
     }
@@ -149,8 +121,10 @@ mod tests {
     #[test]
     fn malformed_specs_are_rejected() {
         for bad in ["", "of", "O.9", "0", "-0.5", "1.5", "NaN", "inf", "0.9x"] {
-            let err = HopPrune::parse(bad).unwrap_err();
-            assert!(err.to_string().contains(bad) || bad.is_empty(), "{bad}");
+            let err = parse(bad).unwrap_err();
+            assert_eq!(err.knob, "hop-prune threshold", "{bad}");
+            assert_eq!((err.key.as_str(), err.value.as_str()), ("", bad));
+            assert!(err.to_string().contains(bad), "{bad}: {err}");
         }
     }
 
@@ -159,7 +133,8 @@ mod tests {
         // Unset: default. (Set/invalid paths are covered through `parse`;
         // mutating the process environment races other tests.)
         if std::env::var("MANN_HOP_PRUNE").is_err() {
-            assert_eq!(HopPrune::from_env(), Ok(HopPrune::default()));
+            let p = <mann_serve::HopPrune as mann_serve::Spec>::from_env().map(own);
+            assert_eq!(p, Ok(HopPrune::default()));
         }
     }
 

@@ -1305,6 +1305,7 @@ impl<'a> Cluster<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Spec;
 
     #[test]
     fn route_is_deterministic_and_distinct() {
@@ -1412,7 +1413,7 @@ mod tests {
         let plan_out_of_range = ClusterConfig {
             shards: 2,
             replication: 2,
-            membership: MembershipPlan::parse_spec("fail=5@1000").expect("parseable"),
+            membership: MembershipPlan::parse("fail=5@1000").expect("parseable"),
             ..ClusterConfig::default()
         };
         assert!(

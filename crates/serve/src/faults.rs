@@ -25,52 +25,7 @@ use serde::{Deserialize, Serialize};
 
 use mann_core::report::{fnum, TextTable};
 
-/// Everything that can go wrong reading or validating a fault plan.
-#[derive(Debug, thiserror::Error)]
-pub enum FaultPlanError {
-    /// The plan file could not be read.
-    #[error("cannot read fault plan {path}: {source}")]
-    Io {
-        /// Path of the unreadable plan.
-        path: String,
-        /// The underlying I/O error.
-        source: std::io::Error,
-    },
-    /// The plan file was not valid JSON of the expected shape.
-    #[error("cannot parse fault plan {path}: {source}")]
-    Parse {
-        /// Path of the malformed plan.
-        path: String,
-        /// The underlying JSON error.
-        source: serde_json::Error,
-    },
-    /// A field value is out of range or inconsistent.
-    #[error("invalid fault plan: {field} {reason}")]
-    Invalid {
-        /// The offending field.
-        field: &'static str,
-        /// Why it was rejected.
-        reason: String,
-    },
-    /// An inline `key=value` spec used an unknown key.
-    #[error(
-        "unknown fault-plan key {key:?}: expected one of seed, corrupt, retries, \
-         backoff-us, crashes, cooldown-us, watchdog-us, seus, degrade-depth, degrade-margin, \
-         node-kills"
-    )]
-    UnknownKey {
-        /// The unrecognized key.
-        key: String,
-    },
-    /// An inline `key=value` spec had an unparseable value.
-    #[error("bad value {value:?} for fault-plan key {key}")]
-    BadValue {
-        /// The key whose value failed to parse.
-        key: String,
-        /// The rejected value text.
-        value: String,
-    },
-}
+use crate::spec::{self, Setter, Spec, SpecError};
 
 /// Declarative description of one fault campaign.
 ///
@@ -192,141 +147,92 @@ impl FaultConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`FaultPlanError::Invalid`] naming the first bad field.
-    pub fn validate(&self) -> Result<(), FaultPlanError> {
-        let bad =
-            |field: &'static str, reason: String| Err(FaultPlanError::Invalid { field, reason });
-        if !(self.link_corrupt_prob.is_finite() && (0.0..=1.0).contains(&self.link_corrupt_prob)) {
-            return bad(
-                "link_corrupt_prob",
-                format!("must be in [0, 1], got {}", self.link_corrupt_prob),
-            );
-        }
+    /// Returns a [`SpecError`] naming the first bad field.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        let check = |key, value, rule| spec::check(Self::NAME, key, value, rule);
+        check(
+            "link_corrupt_prob",
+            self.link_corrupt_prob,
+            spec::probability,
+        )?;
         if self.link_corrupt_prob >= 1.0 {
-            return bad(
+            return Err(SpecError::new(
+                Self::NAME,
                 "link_corrupt_prob",
-                "of 1.0 corrupts every attempt forever; no transfer can succeed".into(),
-            );
+                self.link_corrupt_prob,
+                "of 1.0 corrupts every attempt forever; no transfer can succeed",
+            ));
         }
-        if !(self.backoff_base_s.is_finite() && self.backoff_base_s >= 0.0) {
-            return bad(
-                "backoff_base_s",
-                format!("must be finite and >= 0, got {}", self.backoff_base_s),
-            );
-        }
-        if !(self.crash_cooldown_s.is_finite() && self.crash_cooldown_s >= 0.0) {
-            return bad(
-                "crash_cooldown_s",
-                format!("must be finite and >= 0, got {}", self.crash_cooldown_s),
-            );
-        }
-        if !(self.watchdog_s.is_finite() && self.watchdog_s >= 0.0) {
-            return bad(
-                "watchdog_s",
-                format!("must be finite and >= 0, got {}", self.watchdog_s),
-            );
-        }
+        check("backoff_base_s", self.backoff_base_s, spec::duration_s)?;
+        check("crash_cooldown_s", self.crash_cooldown_s, spec::duration_s)?;
+        check("watchdog_s", self.watchdog_s, spec::duration_s)?;
         if self.crashes > 0 && self.watchdog_s <= 0.0 {
-            return bad(
+            return Err(SpecError::new(
+                Self::NAME,
                 "watchdog_s",
+                self.watchdog_s,
                 "must be positive when crashes > 0 (the watchdog is the only \
-                 mechanism that rescues requests stranded on a dead instance)"
-                    .into(),
-            );
+                 mechanism that rescues requests stranded on a dead instance)",
+            ));
         }
-        if !(self.degrade_margin.is_finite() && self.degrade_margin >= 0.0) {
-            return bad(
-                "degrade_margin",
-                format!("must be finite and >= 0, got {}", self.degrade_margin),
-            );
-        }
-        Ok(())
+        check(
+            "degrade_margin",
+            f64::from(self.degrade_margin),
+            spec::non_negative,
+        )
     }
 
-    /// Loads a plan from a JSON file. Omitted fields keep their defaults.
+    /// Reads a plan from an inline spec or a JSON file path; the same as
+    /// [`Spec::parse`], callable without importing the trait.
     ///
     /// # Errors
     ///
-    /// Returns [`FaultPlanError`] on unreadable files, malformed JSON, or
-    /// out-of-range fields.
-    pub fn load(path: &str) -> Result<Self, FaultPlanError> {
-        let text = std::fs::read_to_string(path).map_err(|source| FaultPlanError::Io {
-            path: path.to_owned(),
-            source,
-        })?;
-        let config: Self = serde_json::from_str(&text).map_err(|source| FaultPlanError::Parse {
-            path: path.to_owned(),
-            source,
-        })?;
+    /// Returns a [`SpecError`] naming the first bad key or field.
+    pub fn from_arg(arg: &str) -> Result<Self, SpecError> {
+        <Self as Spec>::parse(arg)
+    }
+}
+
+/// The inline keys of a fault plan; durations are in microseconds.
+const FAULT_KEYS: &[(&str, Setter<FaultConfig>)] = &[
+    ("seed", |c, f| f.count().map(|v| c.seed = v)),
+    ("corrupt", |c, f| {
+        f.ranged::<f64>(spec::probability)
+            .map(|v| c.link_corrupt_prob = v)
+    }),
+    ("retries", |c, f| f.count().map(|v| c.max_retries = v)),
+    ("backoff-us", |c, f| {
+        f.micros().map(|v| c.backoff_base_s = v)
+    }),
+    ("crashes", |c, f| f.count().map(|v| c.crashes = v)),
+    ("cooldown-us", |c, f| {
+        f.micros().map(|v| c.crash_cooldown_s = v)
+    }),
+    ("watchdog-us", |c, f| f.micros().map(|v| c.watchdog_s = v)),
+    ("seus", |c, f| f.count().map(|v| c.seus = v)),
+    ("degrade-depth", |c, f| {
+        f.count().map(|v| c.degrade_depth = v)
+    }),
+    ("degrade-margin", |c, f| {
+        f.ranged::<f32>(spec::non_negative)
+            .map(|v| c.degrade_margin = v as f32)
+    }),
+    ("node-kills", |c, f| f.count().map(|v| c.node_kills = v)),
+];
+
+impl Spec for FaultConfig {
+    const NAME: &'static str = "fault plan";
+
+    /// An inline `key=value[,key=value...]` spec such as
+    /// `corrupt=0.05,retries=4,crashes=2,watchdog-us=400,seed=7`, or the
+    /// path of a JSON plan file. Keys: `seed`, `corrupt`, `retries`,
+    /// `backoff-us`, `crashes`, `cooldown-us`, `watchdog-us`, `seus`,
+    /// `degrade-depth`, `degrade-margin`, `node-kills`; omitted keys keep
+    /// their defaults.
+    fn parse(text: &str) -> Result<Self, SpecError> {
+        let config: Self = spec::inline_or_file(text, FAULT_KEYS)?;
         config.validate()?;
         Ok(config)
-    }
-
-    /// Parses an inline `key=value[,key=value...]` spec, e.g.
-    /// `corrupt=0.05,retries=4,crashes=2,watchdog-us=400,seed=7`.
-    ///
-    /// Keys: `seed`, `corrupt`, `retries`, `backoff-us`, `crashes`,
-    /// `cooldown-us`, `watchdog-us`, `seus`, `degrade-depth`,
-    /// `degrade-margin`, `node-kills`. Omitted keys keep their defaults.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaultPlanError`] on unknown keys, unparseable values, or
-    /// out-of-range fields.
-    pub fn parse_spec(spec: &str) -> Result<Self, FaultPlanError> {
-        let mut out = Self::default();
-        for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| FaultPlanError::BadValue {
-                    key: part.trim().to_owned(),
-                    value: String::new(),
-                })?;
-            let (key, value) = (key.trim(), value.trim());
-            let bad = || FaultPlanError::BadValue {
-                key: key.to_owned(),
-                value: value.to_owned(),
-            };
-            match key {
-                "seed" => out.seed = value.parse().map_err(|_| bad())?,
-                "corrupt" => out.link_corrupt_prob = value.parse().map_err(|_| bad())?,
-                "retries" => out.max_retries = value.parse().map_err(|_| bad())?,
-                "backoff-us" => {
-                    out.backoff_base_s = value.parse::<f64>().map_err(|_| bad())? * 1e-6;
-                }
-                "crashes" => out.crashes = value.parse().map_err(|_| bad())?,
-                "cooldown-us" => {
-                    out.crash_cooldown_s = value.parse::<f64>().map_err(|_| bad())? * 1e-6;
-                }
-                "watchdog-us" => {
-                    out.watchdog_s = value.parse::<f64>().map_err(|_| bad())? * 1e-6;
-                }
-                "seus" => out.seus = value.parse().map_err(|_| bad())?,
-                "degrade-depth" => out.degrade_depth = value.parse().map_err(|_| bad())?,
-                "degrade-margin" => out.degrade_margin = value.parse().map_err(|_| bad())?,
-                "node-kills" => out.node_kills = value.parse().map_err(|_| bad())?,
-                _ => {
-                    return Err(FaultPlanError::UnknownKey {
-                        key: key.to_owned(),
-                    })
-                }
-            }
-        }
-        out.validate()?;
-        Ok(out)
-    }
-
-    /// Loads from either an inline spec (contains `=`) or a JSON file path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FaultPlanError`] from whichever form was detected.
-    pub fn from_arg(arg: &str) -> Result<Self, FaultPlanError> {
-        if arg.contains('=') {
-            Self::parse_spec(arg)
-        } else {
-            Self::load(arg)
-        }
     }
 }
 
@@ -357,12 +263,12 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`FaultPlanError::Invalid`] on a bad config.
+    /// Returns a [`SpecError`] on a bad config.
     pub fn materialize(
         config: &FaultConfig,
         span: SimTime,
         instances: usize,
-    ) -> Result<Self, FaultPlanError> {
+    ) -> Result<Self, SpecError> {
         config.validate()?;
         assert!(instances > 0, "fault plan needs at least one instance");
         // Degenerate single-request traces have span 0; give the uniform
@@ -559,24 +465,54 @@ mod tests {
             link_corrupt_prob: 1.5,
             ..FaultConfig::default()
         };
-        assert!(matches!(
-            c.validate(),
-            Err(FaultPlanError::Invalid { field, .. }) if field == "link_corrupt_prob"
-        ));
+        assert_eq!(c.validate().unwrap_err().key, "link_corrupt_prob");
         c.link_corrupt_prob = 0.0;
         c.crashes = 1;
         c.watchdog_s = 0.0;
-        assert!(matches!(
-            c.validate(),
-            Err(FaultPlanError::Invalid { field, .. }) if field == "watchdog_s"
-        ));
+        assert_eq!(c.validate().unwrap_err().key, "watchdog_s");
         c.watchdog_s = 100e-6;
         c.validate().expect("crashes with watchdog valid");
     }
 
     #[test]
+    fn durations_are_bounded_by_the_horizon() {
+        let at_bound = FaultConfig {
+            backoff_base_s: spec::SIM_HORIZON_S,
+            crash_cooldown_s: spec::SIM_HORIZON_S,
+            watchdog_s: spec::SIM_HORIZON_S,
+            crashes: 1,
+            ..FaultConfig::default()
+        };
+        at_bound.validate().expect("the horizon itself is valid");
+        // The largest product the event loop forms, added to an instant
+        // of the same size, still fits the picosecond clock.
+        let plan = FaultPlan::materialize(&at_bound, SimTime::from_s(1e-3), 1).expect("plan");
+        let worst = plan.backoff(u32::MAX);
+        assert_eq!(worst, plan.backoff(20));
+        let headroom = u64::MAX - worst.ps();
+        assert!(headroom > SimTime::from_s(spec::SIM_HORIZON_S).ps() * 1000);
+        for key in ["backoff_base_s", "crash_cooldown_s", "watchdog_s"] {
+            let mut c = at_bound.clone();
+            let past = f64::from_bits(spec::SIM_HORIZON_S.to_bits() + 1);
+            match key {
+                "backoff_base_s" => c.backoff_base_s = past,
+                "crash_cooldown_s" => c.crash_cooldown_s = past,
+                _ => c.watchdog_s = past,
+            }
+            assert_eq!(c.validate().unwrap_err().key, key);
+        }
+        for bad in [
+            "crashes=1,watchdog-us=1e14",
+            "cooldown-us=1e300",
+            "backoff-us=1e8",
+        ] {
+            assert!(FaultConfig::from_arg(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
     fn spec_round_trips_and_rejects_unknown_keys() {
-        let c = FaultConfig::parse_spec(
+        let c = FaultConfig::from_arg(
             "corrupt=0.05,retries=4,backoff-us=2,crashes=2,cooldown-us=300,\
              watchdog-us=400,seus=3,degrade-depth=8,degrade-margin=0.5,seed=7",
         )
@@ -590,14 +526,10 @@ mod tests {
         assert!((c.backoff_base_s - 2e-6).abs() < 1e-15);
         assert!((c.watchdog_s - 400e-6).abs() < 1e-12);
         assert!(c.is_active());
-        assert!(matches!(
-            FaultConfig::parse_spec("corupt=0.1"),
-            Err(FaultPlanError::UnknownKey { .. })
-        ));
-        assert!(matches!(
-            FaultConfig::parse_spec("corrupt=lots"),
-            Err(FaultPlanError::BadValue { .. })
-        ));
+        let e = FaultConfig::from_arg("corupt=0.1").unwrap_err();
+        assert_eq!((e.key.as_str(), e.value.as_str()), ("corupt", "0.1"));
+        let e = FaultConfig::from_arg("corrupt=lots").unwrap_err();
+        assert_eq!((e.key.as_str(), e.value.as_str()), ("corrupt", "lots"));
     }
 
     #[test]
@@ -612,7 +544,7 @@ mod tests {
 
     #[test]
     fn config_json_round_trips() {
-        let c = FaultConfig::parse_spec("corrupt=0.1,crashes=1,watchdog-us=50,seed=3")
+        let c = FaultConfig::from_arg("corrupt=0.1,crashes=1,watchdog-us=50,seed=3")
             .expect("spec parses");
         let json = serde_json::to_string(&c).expect("serializes");
         let back: FaultConfig = serde_json::from_str(&json).expect("parses");
@@ -621,8 +553,8 @@ mod tests {
 
     #[test]
     fn plan_is_deterministic_and_in_range() {
-        let c = FaultConfig::parse_spec("crashes=5,watchdog-us=100,seus=7,seed=11")
-            .expect("spec parses");
+        let c =
+            FaultConfig::from_arg("crashes=5,watchdog-us=100,seus=7,seed=11").expect("spec parses");
         let span = SimTime::from_s(1e-3);
         let a = FaultPlan::materialize(&c, span, 3).expect("plan");
         let b = FaultPlan::materialize(&c, span, 3).expect("plan");
@@ -650,7 +582,7 @@ mod tests {
 
     #[test]
     fn corruption_is_pure_in_job_and_attempt() {
-        let c = FaultConfig::parse_spec("corrupt=0.5,seed=9").expect("spec parses");
+        let c = FaultConfig::from_arg("corrupt=0.5,seed=9").expect("spec parses");
         let p = FaultPlan::materialize(&c, SimTime::from_s(1e-3), 2).expect("plan");
         let hits: Vec<bool> = (0..64).map(|j| p.corrupts(j, 0)).collect();
         let again: Vec<bool> = (0..64).map(|j| p.corrupts(j, 0)).collect();
@@ -660,7 +592,7 @@ mod tests {
 
     #[test]
     fn backoff_doubles_per_attempt() {
-        let c = FaultConfig::parse_spec("backoff-us=2,corrupt=0.1").expect("spec parses");
+        let c = FaultConfig::from_arg("backoff-us=2,corrupt=0.1").expect("spec parses");
         let p = FaultPlan::materialize(&c, SimTime::from_s(1e-3), 1).expect("plan");
         assert_eq!(p.backoff(0).ps(), 2_000_000);
         assert_eq!(p.backoff(1).ps(), 4_000_000);

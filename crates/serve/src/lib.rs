@@ -60,27 +60,29 @@ mod report;
 mod request;
 mod scheduler;
 mod server;
+pub mod spec;
 mod store;
 mod trace;
 
 pub use cluster::{
     Cluster, ClusterConfig, ClusterFailover, ClusterOutcome, ClusterReport, ShardRouter,
 };
-pub use faults::{FaultConfig, FaultPlan, FaultPlanError, FaultReport};
-pub use mann_ith::{HopPrune, HopPruneError};
+pub use faults::{FaultConfig, FaultPlan, FaultReport};
+pub use mann_hw::MemIndexConfig;
+pub use mann_ith::HopPrune;
 pub use membership::{
-    MembershipEpoch, MembershipEvent, MembershipEventKind, MembershipPlan, MembershipPlanError,
-    MembershipReport,
+    MembershipEpoch, MembershipEvent, MembershipEventKind, MembershipPlan, MembershipReport,
 };
-pub use numeric::{NumericHealth, NumericPolicy, NumericPolicyError};
+pub use numeric::{NumericHealth, NumericPolicy};
 pub use report::{
     answers_digest, BatchReport, CacheReport, HopPruneReport, InstanceReport, LatencySummary,
     LinkReport, ServeReport,
 };
 pub use request::{Completion, Export, Rejection, Request, RequestTimestamps};
 pub use scheduler::{InstanceView, SchedulePolicy, Scheduler};
-pub use server::{EngineMode, EngineModeError, ServeConfig, ServeOutcome, Server};
-pub use store::{serve_cluster_durable, serve_durable, DurabilityReport, WalConfig, WalSpecError};
+pub use server::{EngineMode, ServeConfig, ServeOutcome, Server};
+pub use spec::{Spec, SpecError, StoryCacheSize, SIM_HORIZON_S};
+pub use store::{serve_cluster_durable, serve_durable, DurabilityReport, WalConfig};
 pub use trace::{ArrivalTrace, TraceConfig};
 
 pub use mann_store::{StoreError, WalRecord};

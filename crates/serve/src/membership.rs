@@ -43,52 +43,7 @@ use serde::{Deserialize, Serialize};
 use mann_core::report::{fnum, TextTable};
 
 use crate::cluster::ShardRouter;
-
-/// Everything that can go wrong reading or validating a membership plan.
-#[derive(Debug, thiserror::Error)]
-pub enum MembershipPlanError {
-    /// The plan file could not be read.
-    #[error("cannot read membership plan {path}: {source}")]
-    Io {
-        /// Path of the unreadable plan.
-        path: String,
-        /// The underlying I/O error.
-        source: std::io::Error,
-    },
-    /// The plan file was not valid JSON of the expected shape.
-    #[error("cannot parse membership plan {path}: {source}")]
-    Parse {
-        /// Path of the malformed plan.
-        path: String,
-        /// The underlying JSON error.
-        source: serde_json::Error,
-    },
-    /// A field value is out of range or inconsistent.
-    #[error("invalid membership plan: {field} {reason}")]
-    Invalid {
-        /// The offending field.
-        field: &'static str,
-        /// Why it was rejected.
-        reason: String,
-    },
-    /// An inline `key=value` spec used an unknown key.
-    #[error(
-        "unknown membership-plan key {key:?}: expected one of drain, fail, join, \
-         retune-threshold, retune-factor, hot-key"
-    )]
-    UnknownKey {
-        /// The unrecognized key.
-        key: String,
-    },
-    /// An inline `key=value` spec had an unparseable value.
-    #[error("bad value {value:?} for membership-plan key {key} (events take `shard@us`)")]
-    BadValue {
-        /// The key whose value failed to parse.
-        key: String,
-        /// The rejected value text.
-        value: String,
-    },
-}
+use crate::spec::{self, Field, Setter, Spec, SpecError};
 
 /// What happens to a shard at its scheduled instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -261,18 +216,21 @@ impl MembershipPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`MembershipPlanError::Invalid`] naming the first bad field.
-    pub fn validate(&self) -> Result<(), MembershipPlanError> {
-        let bad = |field: &'static str, reason: String| {
-            Err(MembershipPlanError::Invalid { field, reason })
+    /// Returns a [`SpecError`] naming the first bad field.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        let bad = |key, value: &dyn std::fmt::Display, reason: String| {
+            Err(SpecError::new(Self::NAME, key, value, reason))
         };
         for e in &self.events {
-            if !(e.at_s.is_finite() && e.at_s > 0.0) {
+            if e.at_s <= 0.0 || spec::duration_s(e.at_s).is_err() {
                 return bad(
                     "events",
+                    &e.at_s,
                     format!(
-                        "{} of shard {} must be at a finite positive instant, got {}",
-                        e.kind, e.shard, e.at_s
+                        "{} of shard {} must be at a positive instant within the {} s horizon",
+                        e.kind,
+                        e.shard,
+                        spec::SIM_HORIZON_S
                     ),
                 );
             }
@@ -282,6 +240,7 @@ impl MembershipPlan {
         if let Some(w) = shards.windows(2).find(|w| w[0] == w[1]) {
             return bad(
                 "events",
+                &w[0],
                 format!(
                     "shard {} has more than one lifecycle event; a shard may \
                      drain, fail or join at most once per campaign",
@@ -289,25 +248,25 @@ impl MembershipPlan {
                 ),
             );
         }
-        if !(self.retune_threshold.is_finite() && (0.0..=1.0).contains(&self.retune_threshold)) {
-            return bad(
-                "retune_threshold",
-                format!("must be in [0, 1], got {}", self.retune_threshold),
-            );
-        }
+        spec::check(
+            Self::NAME,
+            "retune_threshold",
+            self.retune_threshold,
+            spec::probability,
+        )?;
         if self.retune_threshold > 0.0 && self.retune_factor < 2 {
             return bad(
                 "retune_factor",
-                format!(
-                    "must be >= 2 when re-tuning is armed (a factor of {} \
-                     would never change a weight)",
-                    self.retune_factor
-                ),
+                &self.retune_factor,
+                "must be >= 2 when re-tuning is armed (a smaller factor would \
+                 never change a weight)"
+                    .into(),
             );
         }
         if self.hot_key_threshold == 1 {
             return bad(
                 "hot_key_threshold",
+                &1,
                 "of 1 declares every key hot; use 0 to disable or >= 2 to detect".into(),
             );
         }
@@ -321,112 +280,31 @@ impl MembershipPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`MembershipPlanError::Invalid`] naming the first bad field.
-    pub fn validate_for(&self, shards: usize) -> Result<(), MembershipPlanError> {
+    /// Returns a [`SpecError`] naming the first bad field.
+    pub fn validate_for(&self, shards: usize) -> Result<(), SpecError> {
         self.validate()?;
         if let Some(e) = self.events.iter().find(|e| e.shard >= shards) {
-            return Err(MembershipPlanError::Invalid {
-                field: "events",
-                reason: format!(
+            return Err(SpecError::new(
+                Self::NAME,
+                "events",
+                e.shard,
+                format!(
                     "{} references shard {} but the cluster has only {} shard(s) \
                      (indices 0..{})",
                     e.kind, e.shard, shards, shards
                 ),
-            });
+            ));
         }
         if !self.is_empty() && shards < 2 {
-            return Err(MembershipPlanError::Invalid {
-                field: "events",
-                reason: "a live-membership plan needs at least 2 shards; at K=1 the \
-                         cluster layer is inert"
-                    .into(),
-            });
+            return Err(SpecError::new(
+                Self::NAME,
+                "events",
+                shards,
+                "a live-membership plan needs at least 2 shards; at K=1 the \
+                 cluster layer is inert",
+            ));
         }
         Ok(())
-    }
-
-    /// Loads a plan from a JSON file. Omitted fields keep their defaults.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MembershipPlanError`] on unreadable files, malformed
-    /// JSON, or out-of-range fields.
-    pub fn load(path: &str) -> Result<Self, MembershipPlanError> {
-        let text = std::fs::read_to_string(path).map_err(|source| MembershipPlanError::Io {
-            path: path.to_owned(),
-            source,
-        })?;
-        let plan: Self =
-            serde_json::from_str(&text).map_err(|source| MembershipPlanError::Parse {
-                path: path.to_owned(),
-                source,
-            })?;
-        plan.validate()?;
-        Ok(plan)
-    }
-
-    /// Parses an inline `key=value[,key=value...]` spec, e.g.
-    /// `drain=1@1500,fail=2@2600,join=3@700,hot-key=10,retune-threshold=0.05`.
-    ///
-    /// Event keys (`drain`, `fail`, `join`) take `shard@microseconds` and
-    /// may repeat (for different shards); `retune-threshold` is a queue
-    /// fraction in [0, 1], `retune-factor` a weight divisor, `hot-key` a
-    /// request count. Omitted keys keep their defaults.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MembershipPlanError`] on unknown keys, unparseable
-    /// values, or out-of-range fields.
-    pub fn parse_spec(spec: &str) -> Result<Self, MembershipPlanError> {
-        let mut out = Self::default();
-        for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) =
-                part.split_once('=')
-                    .ok_or_else(|| MembershipPlanError::BadValue {
-                        key: part.trim().to_owned(),
-                        value: String::new(),
-                    })?;
-            let (key, value) = (key.trim(), value.trim());
-            let bad = || MembershipPlanError::BadValue {
-                key: key.to_owned(),
-                value: value.to_owned(),
-            };
-            match key {
-                "drain" | "fail" | "join" => {
-                    let (shard, at_us) = value.split_once('@').ok_or_else(bad)?;
-                    out.events.push(MembershipEvent {
-                        kind: MembershipEventKind::parse(key).expect("matched above"),
-                        shard: shard.trim().parse().map_err(|_| bad())?,
-                        at_s: at_us.trim().parse::<f64>().map_err(|_| bad())? * 1e-6,
-                    });
-                }
-                "retune-threshold" => {
-                    out.retune_threshold = value.parse().map_err(|_| bad())?;
-                }
-                "retune-factor" => out.retune_factor = value.parse().map_err(|_| bad())?,
-                "hot-key" => out.hot_key_threshold = value.parse().map_err(|_| bad())?,
-                _ => {
-                    return Err(MembershipPlanError::UnknownKey {
-                        key: key.to_owned(),
-                    })
-                }
-            }
-        }
-        out.validate()?;
-        Ok(out)
-    }
-
-    /// Loads from either an inline spec (contains `=`) or a JSON file path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MembershipPlanError`] from whichever form was detected.
-    pub fn from_arg(arg: &str) -> Result<Self, MembershipPlanError> {
-        if arg.contains('=') {
-            Self::parse_spec(arg)
-        } else {
-            Self::load(arg)
-        }
     }
 
     /// The fail-stop instant of `shard`, if the plan fails it.
@@ -463,6 +341,56 @@ impl MembershipPlan {
             .collect();
         hot.sort_unstable();
         hot
+    }
+}
+
+/// Adds a `shard@microseconds` lifecycle event of `kind`.
+fn push_event(
+    plan: &mut MembershipPlan,
+    kind: MembershipEventKind,
+    f: Field<'_>,
+) -> Result<(), SpecError> {
+    let (shard, at_us) = f
+        .value
+        .split_once('@')
+        .ok_or_else(|| f.err("expected shard@microseconds"))?;
+    plan.events.push(MembershipEvent {
+        kind,
+        shard: f.with_value(shard).count()?,
+        at_s: f.with_value(at_us).micros()?,
+    });
+    Ok(())
+}
+
+/// The inline keys of a membership plan.
+const MEMBERSHIP_KEYS: &[(&str, Setter<MembershipPlan>)] = &[
+    ("drain", |p, f| push_event(p, MembershipEventKind::Drain, f)),
+    ("fail", |p, f| push_event(p, MembershipEventKind::Fail, f)),
+    ("join", |p, f| push_event(p, MembershipEventKind::Join, f)),
+    ("retune-threshold", |p, f| {
+        f.ranged::<f64>(spec::probability)
+            .map(|v| p.retune_threshold = v)
+    }),
+    ("retune-factor", |p, f| {
+        f.count().map(|v| p.retune_factor = v)
+    }),
+    ("hot-key", |p, f| f.count().map(|v| p.hot_key_threshold = v)),
+];
+
+impl Spec for MembershipPlan {
+    const NAME: &'static str = "membership plan";
+
+    /// An inline `key=value[,key=value...]` spec such as
+    /// `drain=1@1500,fail=2@2600,join=3@700,hot-key=10,retune-threshold=0.05`,
+    /// or the path of a JSON plan file. Event keys (`drain`, `fail`,
+    /// `join`) take `shard@microseconds` and may repeat (for different
+    /// shards); `retune-threshold` is a queue fraction in [0, 1],
+    /// `retune-factor` a weight divisor, `hot-key` a request count.
+    /// Omitted keys keep their defaults.
+    fn parse(text: &str) -> Result<Self, SpecError> {
+        let plan: Self = spec::inline_or_file(text, MEMBERSHIP_KEYS)?;
+        plan.validate()?;
+        Ok(plan)
     }
 }
 
@@ -698,7 +626,7 @@ mod tests {
 
     #[test]
     fn spec_round_trip() {
-        let p = MembershipPlan::parse_spec(
+        let p = MembershipPlan::parse(
             "drain=1@1500,fail=2@2600,join=3@700,hot-key=10,retune-threshold=0.05,retune-factor=4",
         )
         .expect("valid spec");
@@ -726,55 +654,33 @@ mod tests {
 
     #[test]
     fn bad_specs_are_hard_errors() {
-        assert!(matches!(
-            MembershipPlan::parse_spec("drain=1"),
-            Err(MembershipPlanError::BadValue { .. })
-        ));
-        assert!(matches!(
-            MembershipPlan::parse_spec("evict=1@100"),
-            Err(MembershipPlanError::UnknownKey { .. })
-        ));
-        assert!(matches!(
-            MembershipPlan::parse_spec("drain=1@0"),
-            Err(MembershipPlanError::Invalid { .. })
-        ));
-        assert!(matches!(
-            MembershipPlan::parse_spec("drain=1@100,fail=1@200"),
-            Err(MembershipPlanError::Invalid { .. })
-        ));
-        assert!(matches!(
-            MembershipPlan::parse_spec("hot-key=1"),
-            Err(MembershipPlanError::Invalid { .. })
-        ));
-        assert!(matches!(
-            MembershipPlan::parse_spec("retune-threshold=0.5,retune-factor=1"),
-            Err(MembershipPlanError::Invalid { .. })
-        ));
-        assert!(matches!(
-            MembershipPlan::parse_spec("retune-threshold=1.5"),
-            Err(MembershipPlanError::Invalid { .. })
-        ));
+        for (text, key, value) in [
+            ("drain=1", "drain", "1"),
+            ("evict=1@100", "evict", "1@100"),
+            ("drain=1@0", "events", "0"),
+            ("drain=1@1e8", "drain", "1e8"),
+            ("drain=1@100,fail=1@200", "events", "1"),
+            ("hot-key=1", "hot_key_threshold", "1"),
+            ("retune-threshold=0.5,retune-factor=1", "retune_factor", "1"),
+            ("retune-threshold=1.5", "retune-threshold", "1.5"),
+        ] {
+            let e = MembershipPlan::parse(text).unwrap_err();
+            assert_eq!((e.key.as_str(), e.value.as_str()), (key, value), "{text}");
+        }
     }
 
     #[test]
     fn validate_for_rejects_out_of_range_shards_and_k1() {
-        let p = MembershipPlan::parse_spec("fail=4@100").expect("shape-valid");
-        assert!(matches!(
-            p.validate_for(4),
-            Err(MembershipPlanError::Invalid { .. })
-        ));
+        let p = MembershipPlan::parse("fail=4@100").expect("shape-valid");
+        assert_eq!(p.validate_for(4).unwrap_err().key, "events");
         p.validate_for(5).expect("shard 4 exists at K=5");
-        let p = MembershipPlan::parse_spec("hot-key=8").expect("shape-valid");
-        assert!(matches!(
-            p.validate_for(1),
-            Err(MembershipPlanError::Invalid { .. })
-        ));
+        let p = MembershipPlan::parse("hot-key=8").expect("shape-valid");
+        assert_eq!(p.validate_for(1).unwrap_err().key, "events");
     }
 
     #[test]
     fn view_liveness_windows() {
-        let plan =
-            MembershipPlan::parse_spec("drain=1@100,fail=2@200,join=3@50").expect("valid plan");
+        let plan = MembershipPlan::parse("drain=1@100,fail=2@200,join=3@50").expect("valid plan");
         let view = MembershipView::new(&plan, vec![1; 4], 2);
         let us = |u: f64| SimTime::from_s(u * 1e-6);
         assert!(view.alive(0, SimTime::ZERO));
@@ -794,7 +700,7 @@ mod tests {
 
     #[test]
     fn view_resolve_empty_when_all_dead() {
-        let plan = MembershipPlan::parse_spec("fail=0@100,fail=1@100").expect("valid plan");
+        let plan = MembershipPlan::parse("fail=0@100,fail=1@100").expect("valid plan");
         let view = MembershipView::new(&plan, vec![1; 2], 2);
         let t = SimTime::from_s(150e-6);
         assert!(view.resolve(7, t).is_empty());
@@ -831,7 +737,7 @@ mod tests {
 
     #[test]
     fn hot_keys_need_the_threshold() {
-        let plan = MembershipPlan::parse_spec("hot-key=3").expect("valid");
+        let plan = MembershipPlan::parse("hot-key=3").expect("valid");
         let keys = [7u64, 7, 7, 9, 9, 11];
         assert_eq!(plan.hot_keys(keys.iter().copied()), vec![7]);
         assert!(MembershipPlan::none()

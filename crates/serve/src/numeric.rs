@@ -24,6 +24,8 @@ use mann_core::report::TextTable;
 use mann_linalg::NumericStatus;
 use serde::{Deserialize, Serialize};
 
+use crate::spec::{self, Spec, SpecError};
+
 /// What the serving layer does with numeric-event flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum NumericPolicy {
@@ -37,46 +39,21 @@ pub enum NumericPolicy {
     Failover,
 }
 
-/// An unrecognized numeric-policy name (CLI flag or
-/// `MANN_NUMERIC_POLICY`). Invalid values are rejected rather than
-/// silently falling back to the default.
-#[derive(Debug, Clone, PartialEq, Eq, thiserror::Error)]
-#[error("invalid numeric policy {value:?}: expected one of `ignore`, `flag`, `failover`")]
-pub struct NumericPolicyError {
-    /// The rejected input.
-    pub value: String,
-}
+impl Spec for NumericPolicy {
+    const NAME: &'static str = "numeric policy";
+    const ENV: Option<&'static str> = Some("MANN_NUMERIC_POLICY");
 
-impl NumericPolicy {
-    /// Parses a CLI-style policy name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericPolicyError`] for anything but
-    /// `ignore`/`flag`/`failover`.
-    pub fn parse(s: &str) -> Result<Self, NumericPolicyError> {
-        match s {
-            "ignore" => Ok(Self::Ignore),
-            "flag" => Ok(Self::Flag),
-            "failover" => Ok(Self::Failover),
-            _ => Err(NumericPolicyError {
-                value: s.to_owned(),
-            }),
-        }
-    }
-
-    /// Policy from the `MANN_NUMERIC_POLICY` environment variable,
-    /// falling back to the default (ignore) when unset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericPolicyError`] when the variable is set to an
-    /// unrecognized value.
-    pub fn from_env() -> Result<Self, NumericPolicyError> {
-        match std::env::var("MANN_NUMERIC_POLICY") {
-            Err(_) => Ok(Self::default()),
-            Ok(v) => Self::parse(&v),
-        }
+    /// `ignore`, `flag` or `failover`.
+    fn parse(text: &str) -> Result<Self, SpecError> {
+        spec::one_of(
+            Self::NAME,
+            text,
+            &[
+                ("ignore", Self::Ignore),
+                ("flag", Self::Flag),
+                ("failover", Self::Failover),
+            ],
+        )
     }
 }
 
@@ -172,7 +149,7 @@ mod tests {
         }
         assert!(NumericPolicy::parse("strict").is_err());
         let err = NumericPolicy::parse("Failover").unwrap_err();
-        assert!(err.to_string().contains("Failover"));
+        assert_eq!(err.value, "Failover");
     }
 
     #[test]

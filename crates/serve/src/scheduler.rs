@@ -9,6 +9,8 @@
 use mann_hw::SimTime;
 use serde::{Deserialize, Serialize};
 
+use crate::spec::{self, Spec, SpecError};
+
 /// How the dispatcher picks an instance for the next upload batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SchedulePolicy {
@@ -27,15 +29,25 @@ pub enum SchedulePolicy {
     StoryAffinity,
 }
 
-impl SchedulePolicy {
-    /// Parses a CLI-style policy name.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "rr" | "round-robin" => Some(Self::RoundRobin),
-            "sq" | "shortest-queue" => Some(Self::ShortestQueue),
-            "af" | "affinity" | "story-affinity" => Some(Self::StoryAffinity),
-            _ => None,
-        }
+impl Spec for SchedulePolicy {
+    const NAME: &'static str = "schedule policy";
+
+    /// `rr`, `sq` or `affinity`, or a long name (`round-robin`,
+    /// `shortest-queue`, `af`, `story-affinity`).
+    fn parse(text: &str) -> Result<Self, SpecError> {
+        spec::one_of(
+            Self::NAME,
+            text,
+            &[
+                ("rr", Self::RoundRobin),
+                ("round-robin", Self::RoundRobin),
+                ("sq", Self::ShortestQueue),
+                ("shortest-queue", Self::ShortestQueue),
+                ("af", Self::StoryAffinity),
+                ("affinity", Self::StoryAffinity),
+                ("story-affinity", Self::StoryAffinity),
+            ],
+        )
     }
 }
 
@@ -214,16 +226,13 @@ mod tests {
             SchedulePolicy::ShortestQueue,
             SchedulePolicy::StoryAffinity,
         ] {
-            assert_eq!(SchedulePolicy::parse(&p.to_string()), Some(p));
+            assert_eq!(SchedulePolicy::parse(&p.to_string()), Ok(p));
         }
-        assert_eq!(
-            SchedulePolicy::parse("rr"),
-            Some(SchedulePolicy::RoundRobin)
-        );
+        assert_eq!(SchedulePolicy::parse("rr"), Ok(SchedulePolicy::RoundRobin));
         assert_eq!(
             SchedulePolicy::parse("sq"),
-            Some(SchedulePolicy::ShortestQueue)
+            Ok(SchedulePolicy::ShortestQueue)
         );
-        assert_eq!(SchedulePolicy::parse("lifo"), None);
+        assert_eq!(SchedulePolicy::parse("lifo").unwrap_err().value, "lifo");
     }
 }

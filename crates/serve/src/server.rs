@@ -55,6 +55,7 @@ use crate::report::{
 };
 use crate::request::{Completion, Export, Rejection, Request, RequestTimestamps};
 use crate::scheduler::{InstanceView, Scheduler};
+use crate::spec::{self, Spec, SpecError};
 use crate::store::{DurabilityReport, WalConfig};
 use crate::trace::ArrivalTrace;
 use crate::SchedulePolicy;
@@ -73,45 +74,17 @@ pub enum EngineMode {
     Parallel,
 }
 
-/// An unrecognized engine name (CLI flag or `MANN_SERVE_ENGINE`). Invalid
-/// values are rejected rather than silently falling back to the default —
-/// `MANN_SERVE_ENGINE=paralel` should fail loudly, not quietly serve with
-/// the default engine.
-#[derive(Debug, Clone, PartialEq, Eq, thiserror::Error)]
-#[error("invalid engine mode {value:?}: expected one of `serial`, `parallel`")]
-pub struct EngineModeError {
-    /// The rejected input.
-    pub value: String,
-}
+impl Spec for EngineMode {
+    const NAME: &'static str = "engine mode";
+    const ENV: Option<&'static str> = Some("MANN_SERVE_ENGINE");
 
-impl EngineMode {
-    /// Parses a CLI-style engine name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineModeError`] for anything but `serial`/`parallel`.
-    pub fn parse(s: &str) -> Result<Self, EngineModeError> {
-        match s {
-            "serial" => Ok(Self::Serial),
-            "parallel" => Ok(Self::Parallel),
-            _ => Err(EngineModeError {
-                value: s.to_owned(),
-            }),
-        }
-    }
-
-    /// Engine from the `MANN_SERVE_ENGINE` environment variable, falling
-    /// back to the default (parallel) when unset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineModeError`] when the variable is set to an
-    /// unrecognized value.
-    pub fn from_env() -> Result<Self, EngineModeError> {
-        match std::env::var("MANN_SERVE_ENGINE") {
-            Err(_) => Ok(Self::default()),
-            Ok(v) => Self::parse(&v),
-        }
+    /// `serial` or `parallel`.
+    fn parse(text: &str) -> Result<Self, SpecError> {
+        spec::one_of(
+            Self::NAME,
+            text,
+            &[("serial", Self::Serial), ("parallel", Self::Parallel)],
+        )
     }
 }
 
@@ -239,8 +212,23 @@ impl ServeConfig {
         if self.upload_batch == 0 {
             return Err("upload batch must be positive".into());
         }
-        self.faults.validate().map_err(|e| e.to_string())?;
-        self.wal.validate()?;
+        let pcie =
+            |key: &str, value: f64, rule: spec::Rule| spec::check("pcie link", key, value, rule);
+        pcie(
+            "bandwidth_bytes_per_s",
+            self.pcie.bandwidth_bytes_per_s,
+            spec::positive,
+        )
+        .and_then(|()| {
+            pcie(
+                "latency_per_transfer_s",
+                self.pcie.latency_per_transfer_s,
+                spec::duration_s,
+            )
+        })
+        .and_then(|()| self.faults.validate())
+        .and_then(|()| self.wal.validate())
+        .map_err(|e| e.to_string())?;
         if let Some(t) = self.fail_stop {
             if t == SimTime::ZERO {
                 return Err("fail_stop at time zero would serve nothing".into());

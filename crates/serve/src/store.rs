@@ -43,13 +43,14 @@ use mann_core::persist::PersistError;
 use mann_core::report::{fnum, TextTable};
 use mann_hw::fault_mix;
 use mann_store::{
-    gc, recover_dir, replay_dir, write_snapshot, StoreError, StoreState, WalRecord, WalStats,
-    WalWriter, KIND_COMPLETION, KIND_STORY,
+    gc, list_segments, recover_dir, replay_dir, segment_path, write_snapshot, StoreError,
+    StoreState, WalRecord, WalStats, WalWriter, KIND_COMPLETION, KIND_STORY,
 };
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::{Cluster, ClusterOutcome};
 use crate::server::{ServeOutcome, Server};
+use crate::spec::{self, Setter, Spec, SpecError};
 use crate::trace::ArrivalTrace;
 
 /// Domain-separation stream for node-kill selection (ASCII "kill"):
@@ -94,158 +95,81 @@ impl Default for WalConfig {
     }
 }
 
-/// An unparseable `MANN_WAL` value (or CLI-equivalent spec). Invalid
-/// values are rejected at startup rather than silently serving without
-/// durability — `MANN_WAL=/tmp/wal,snap=abc` must fail loudly, exactly
-/// like `MANN_SERVE_ENGINE`/`MANN_MEM_INDEX`.
-#[derive(Debug, Clone, PartialEq, Eq, thiserror::Error)]
-pub enum WalSpecError {
-    /// The spec does not match `<dir>[,key=value]...`.
-    #[error(
-        "invalid MANN_WAL spec {value:?}: expected `off` or `<dir>[,snap=N][,fsync-batch=N][,fsync-us=F][,replay-us=F]`"
-    )]
-    BadShape {
-        /// The rejected input.
-        value: String,
-    },
-    /// An option key that is not recognized.
-    #[error(
-        "unknown MANN_WAL option {option:?}: expected one of `snap`, `fsync-batch`, `fsync-us`, `replay-us`"
-    )]
-    UnknownOption {
-        /// The rejected key.
-        option: String,
-    },
-    /// An option value that does not parse or is out of range.
-    #[error("invalid MANN_WAL value {value:?} for `{option}`: {reason}")]
-    BadValue {
-        /// The option the value belongs to.
-        option: String,
-        /// The rejected value.
-        value: String,
-        /// Why it was rejected.
-        reason: String,
-    },
-}
+/// The `,key=value` options after a WAL directory.
+const WAL_KEYS: &[(&str, Setter<WalConfig>)] = &[
+    ("snap", |c, f| f.count().map(|v| c.snapshot_every = v)),
+    ("fsync-batch", |c, f| f.count().map(|v| c.fsync_batch = v)),
+    ("fsync-us", |c, f| {
+        f.ranged::<f64>(spec::non_negative).map(|v| c.fsync_us = v)
+    }),
+    ("replay-us", |c, f| {
+        f.ranged::<f64>(spec::non_negative).map(|v| c.replay_us = v)
+    }),
+];
 
-impl WalConfig {
-    /// Parses a CLI/env spec: `off` (or empty, or `0`) disables the
-    /// journal; otherwise `<dir>[,snap=N][,fsync-batch=N][,fsync-us=F]
-    /// [,replay-us=F]` enables it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WalSpecError`] on malformed input — never a silent
-    /// fallback.
-    pub fn parse(spec: &str) -> Result<Self, WalSpecError> {
-        let spec = spec.trim();
-        if spec.is_empty() || spec == "off" || spec == "0" {
+impl Spec for WalConfig {
+    const NAME: &'static str = "write-ahead log spec";
+    const ENV: Option<&'static str> = Some("MANN_WAL");
+
+    /// `off` (or empty, or `0`) disables the journal; otherwise
+    /// `<dir>[,snap=N][,fsync-batch=N][,fsync-us=F][,replay-us=F]` enables
+    /// it. Malformed input is an error — never a silent fallback.
+    fn parse(text: &str) -> Result<Self, SpecError> {
+        let text = text.trim();
+        if text.is_empty() || text == "off" || text == "0" {
             return Ok(Self::default());
         }
-        let mut parts = spec.split(',');
-        let dir = parts.next().expect("split yields at least one part").trim();
+        let (dir, options) = text.split_once(',').unwrap_or((text, ""));
+        let dir = dir.trim();
         if dir.is_empty() || dir == "off" || dir.contains('=') {
-            return Err(WalSpecError::BadShape {
-                value: spec.to_owned(),
-            });
+            return Err(SpecError::new(
+                Self::NAME,
+                "",
+                text,
+                "expected `off` or `<dir>[,snap=N][,fsync-batch=N][,fsync-us=F][,replay-us=F]`",
+            ));
         }
         let mut cfg = Self {
             enabled: true,
             dir: dir.to_owned(),
             ..Self::default()
         };
-        for part in parts {
-            let part = part.trim();
-            let Some((key, value)) = part.split_once('=') else {
-                return Err(WalSpecError::BadShape {
-                    value: spec.to_owned(),
-                });
-            };
-            let (key, value) = (key.trim(), value.trim());
-            let bad = |reason: &str| WalSpecError::BadValue {
-                option: key.to_owned(),
-                value: value.to_owned(),
-                reason: reason.to_owned(),
-            };
-            match key {
-                "snap" => {
-                    cfg.snapshot_every = value
-                        .parse()
-                        .map_err(|_| bad("expected a non-negative integer"))?;
-                }
-                "fsync-batch" => {
-                    let n: usize = value
-                        .parse()
-                        .map_err(|_| bad("expected a positive integer"))?;
-                    if n == 0 {
-                        return Err(bad("fsync batch must be at least 1"));
-                    }
-                    cfg.fsync_batch = n;
-                }
-                "fsync-us" => {
-                    let f: f64 = value.parse().map_err(|_| bad("expected a number"))?;
-                    if !f.is_finite() || f < 0.0 {
-                        return Err(bad("expected a finite non-negative number"));
-                    }
-                    cfg.fsync_us = f;
-                }
-                "replay-us" => {
-                    let f: f64 = value.parse().map_err(|_| bad("expected a number"))?;
-                    if !f.is_finite() || f < 0.0 {
-                        return Err(bad("expected a finite non-negative number"));
-                    }
-                    cfg.replay_us = f;
-                }
-                _ => {
-                    return Err(WalSpecError::UnknownOption {
-                        option: key.to_owned(),
-                    })
-                }
-            }
-        }
+        spec::apply_pairs(Self::NAME, options, WAL_KEYS, &mut cfg)?;
+        cfg.validate()?;
         Ok(cfg)
     }
+}
 
-    /// Configuration from the `MANN_WAL` environment variable, falling
-    /// back to the default (disabled) when unset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WalSpecError`] when the variable is set to a malformed
-    /// value.
-    pub fn from_env() -> Result<Self, WalSpecError> {
-        match std::env::var("MANN_WAL") {
-            Err(_) => Ok(Self::default()),
-            Ok(v) => Self::parse(&v),
-        }
-    }
-
+impl WalConfig {
     /// Checks structural validity (called from
     /// [`crate::ServeConfig::validate`]).
     ///
     /// # Errors
     ///
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Returns a [`SpecError`] naming the first invalid field.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        let bad = |key, value: &dyn std::fmt::Display, reason| {
+            Err(SpecError::new(Self::NAME, key, value, reason))
+        };
         if self.enabled && self.dir.trim().is_empty() {
-            return Err("write-ahead log enabled without a directory".into());
+            return bad(
+                "dir",
+                &self.dir,
+                "write-ahead log enabled without a directory",
+            );
         }
         if !self.enabled && self.snapshot_every > 0 {
-            return Err("snapshot interval set but the write-ahead log is off".into());
+            return bad(
+                "snapshot_every",
+                &self.snapshot_every,
+                "snapshot interval set but the write-ahead log is off",
+            );
         }
         if self.fsync_batch == 0 {
-            return Err("wal fsync batch must be at least 1".into());
+            return bad("fsync_batch", &0, "wal fsync batch must be at least 1");
         }
-        if !self.fsync_us.is_finite() || self.fsync_us < 0.0 {
-            return Err(format!("wal fsync cost {} us is not a cost", self.fsync_us));
-        }
-        if !self.replay_us.is_finite() || self.replay_us < 0.0 {
-            return Err(format!(
-                "wal replay cost {} us is not a cost",
-                self.replay_us
-            ));
-        }
-        Ok(())
+        spec::check(Self::NAME, "fsync_us", self.fsync_us, spec::non_negative)?;
+        spec::check(Self::NAME, "replay_us", self.replay_us, spec::non_negative)
     }
 }
 
@@ -532,9 +456,16 @@ fn run_journal(
         .count() as u64;
 
     // ----- resume: the remainder lands in a fresh segment ---------------
+    // Recovery sealed the segment it kept. The seal is repair work, not
+    // journal volume, so it stays out of the report: once compaction
+    // deletes that segment, its seal is taken back out of `gc_bytes`.
+    let sealed = list_segments(dir)?.last().map(|&(seq, _)| seq);
     let mut state = recovered;
     let w = append_stream(dir, cfg, &records[kp..], &mut state, &mut since_snap, dr)?;
     absorb_stats(dr, w.finish()?);
+    if sealed.is_some_and(|seq| !segment_path(dir, seq).exists()) {
+        dr.gc_bytes -= rec.seal_bytes;
+    }
     dr.fsync_s += (dr.fsyncs - fsyncs_before) as f64 * cfg.fsync_us * 1e-6;
     Ok(())
 }
@@ -681,38 +612,19 @@ mod tests {
 
     #[test]
     fn malformed_specs_are_hard_errors() {
-        assert!(matches!(
-            WalConfig::parse(",snap=4"),
-            Err(WalSpecError::BadShape { .. })
-        ));
-        assert!(matches!(
-            WalConfig::parse("snap=4"),
-            Err(WalSpecError::BadShape { .. })
-        ));
-        assert!(matches!(
-            WalConfig::parse("/tmp/w,snap"),
-            Err(WalSpecError::BadShape { .. })
-        ));
-        assert!(matches!(
-            WalConfig::parse("/tmp/w,snapshots=4"),
-            Err(WalSpecError::UnknownOption { .. })
-        ));
-        assert!(matches!(
-            WalConfig::parse("/tmp/w,snap=abc"),
-            Err(WalSpecError::BadValue { .. })
-        ));
-        assert!(matches!(
-            WalConfig::parse("/tmp/w,fsync-batch=0"),
-            Err(WalSpecError::BadValue { .. })
-        ));
-        assert!(matches!(
-            WalConfig::parse("/tmp/w,fsync-us=-1"),
-            Err(WalSpecError::BadValue { .. })
-        ));
-        assert!(matches!(
-            WalConfig::parse("/tmp/w,replay-us=NaN"),
-            Err(WalSpecError::BadValue { .. })
-        ));
+        for (text, key, value) in [
+            (",snap=4", "", ",snap=4"),
+            ("snap=4", "", "snap=4"),
+            ("/tmp/w,snap", "snap", ""),
+            ("/tmp/w,snapshots=4", "snapshots", "4"),
+            ("/tmp/w,snap=abc", "snap", "abc"),
+            ("/tmp/w,fsync-batch=0", "fsync_batch", "0"),
+            ("/tmp/w,fsync-us=-1", "fsync-us", "-1"),
+            ("/tmp/w,replay-us=NaN", "replay-us", "NaN"),
+        ] {
+            let e = WalConfig::parse(text).unwrap_err();
+            assert_eq!((e.key.as_str(), e.value.as_str()), (key, value), "{text}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use mann_hw::MemIndexConfig;
 use mann_serve::{
     serve_cluster_durable, serve_durable, ArrivalTrace, Cluster, ClusterConfig, FaultConfig,
     HopPrune, MembershipPlan, NumericPolicy, SchedulePolicy, ServeConfig, ServeReport, Server,
-    TraceConfig, WalConfig,
+    Spec, TraceConfig, WalConfig,
 };
 use serde::{Deserialize, Serialize};
 
@@ -92,7 +92,7 @@ fn all_levers(wal: &std::path::Path) -> ServeConfig {
         queue_capacity: 128,
         story_cache: 4,
         policy: SchedulePolicy::StoryAffinity,
-        faults: FaultConfig::parse_spec(
+        faults: FaultConfig::from_arg(
             "seed=7,corrupt=0.05,retries=3,crashes=2,cooldown-us=300,watchdog-us=400,\
              seus=4,degrade-depth=8,degrade-margin=0.5",
         )
@@ -153,7 +153,7 @@ fn cluster_report_emits_every_section_in_order() {
     let config = ClusterConfig {
         shards: 4,
         replication: 2,
-        membership: MembershipPlan::parse_spec("drain=1@2000").expect("valid membership spec"),
+        membership: MembershipPlan::parse("drain=1@2000").expect("valid membership spec"),
         base: all_levers(&dir),
         ..ClusterConfig::default()
     };

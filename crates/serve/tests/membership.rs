@@ -28,7 +28,7 @@ use mann_babi::TaskId;
 use mann_core::{SuiteConfig, TaskSuite};
 use mann_serve::{
     serve_cluster_durable, ArrivalTrace, Cluster, ClusterConfig, ClusterOutcome, EngineMode,
-    MembershipPlan, SchedulePolicy, ServeConfig, TraceConfig, WalConfig,
+    MembershipPlan, SchedulePolicy, ServeConfig, Spec, TraceConfig, WalConfig,
 };
 use serde::Serialize;
 
@@ -70,10 +70,8 @@ fn base_config() -> ServeConfig {
 /// One of everything: a join, a drain, a fail, queue-pressure retuning
 /// and the hot-key splitter, on a K=4/R=2 cluster.
 fn churn_plan() -> MembershipPlan {
-    MembershipPlan::parse_spec(
-        "join=3@800,drain=1@2000,fail=2@3000,retune-threshold=0.05,hot-key=8",
-    )
-    .expect("valid churn spec")
+    MembershipPlan::parse("join=3@800,drain=1@2000,fail=2@3000,retune-threshold=0.05,hot-key=8")
+        .expect("valid churn spec")
 }
 
 fn churn_config() -> ClusterConfig {
@@ -227,7 +225,7 @@ fn all_replicas_down_requests_shed_with_their_own_counter() {
         ClusterConfig {
             shards: 2,
             replication: 2,
-            membership: MembershipPlan::parse_spec("fail=0@1200,fail=1@1800")
+            membership: MembershipPlan::parse("fail=0@1200,fail=1@1800")
                 .expect("valid double-failure spec"),
             base: base_config(),
             ..ClusterConfig::default()
@@ -261,7 +259,7 @@ fn membership_failure_composes_with_the_wal() {
     let t = trace(64, 11, 4);
     let dir = std::env::temp_dir().join("mann_serve_membership_wal");
     let _ = std::fs::remove_dir_all(&dir);
-    let plan = MembershipPlan::parse_spec("fail=1@1500").expect("valid spec");
+    let plan = MembershipPlan::parse("fail=1@1500").expect("valid spec");
     let durable_cfg = ClusterConfig {
         shards: 2,
         replication: 2,
@@ -324,7 +322,7 @@ fn hot_key_splitter_spreads_a_pathological_story() {
     };
     let (cold_busy, cold_digest, _) = busy(MembershipPlan::none());
     let (hot_busy, hot_digest, hot_out) =
-        busy(MembershipPlan::parse_spec("hot-key=8").expect("valid spec"));
+        busy(MembershipPlan::parse("hot-key=8").expect("valid spec"));
     assert!(
         hot_busy > cold_busy,
         "splitter must spread load: {hot_busy} busy shards vs {cold_busy}"

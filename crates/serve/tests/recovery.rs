@@ -13,7 +13,9 @@
 //!    and the recovered report's bytes are independent of the WAL
 //!    directory and identical run to run.
 //! 4. The on-disk journal is complete: replaying the WAL directory of a
-//!    finished campaign reproduces every completion the report counted.
+//!    finished campaign reproduces every completion the report counted,
+//!    and a directory recovered after a kill stays replayable and
+//!    recoverable once the run has appended past the recovery.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -21,10 +23,10 @@ use std::sync::OnceLock;
 use mann_babi::TaskId;
 use mann_core::{SuiteConfig, TaskSuite};
 use mann_serve::{
-    serve_durable, ArrivalTrace, EngineMode, FaultConfig, SchedulePolicy, ServeConfig, Server,
-    TraceConfig, WalConfig,
+    serve_cluster_durable, serve_durable, ArrivalTrace, Cluster, ClusterConfig, EngineMode,
+    FaultConfig, SchedulePolicy, ServeConfig, Server, Spec, TraceConfig, WalConfig,
 };
-use mann_store::{replay_dir, StoreState, KIND_COMPLETION, KIND_STORY};
+use mann_store::{recover_dir, replay_dir, StoreState, KIND_COMPLETION, KIND_STORY};
 use serde::Serialize;
 
 fn suite() -> &'static TaskSuite {
@@ -235,6 +237,42 @@ fn finished_journal_replays_to_the_reported_completions() {
         state.completion_count(),
         out.report.completed,
         "replaying the WAL directory must reproduce every reported completion"
+    );
+}
+
+/// Contract 4, after a kill: recovery seals the segment it keeps, so once
+/// the run has resumed into a fresh segment, every `shard-*/pass-*`
+/// directory still replays strictly and a second recovery finds nothing
+/// to repair.
+#[test]
+fn killed_cluster_wal_dirs_replay_and_recover_again() {
+    let dir = wal_dir("cluster_rerecover");
+    let config = ClusterConfig {
+        shards: 2,
+        base: durable_config(&dir, 0, 1),
+        ..ClusterConfig::default()
+    };
+    let out = serve_cluster_durable(&Cluster::new(suite(), config), &trace())
+        .expect("durable cluster serve");
+    assert_eq!(
+        out.report.durability.node_kills, 1,
+        "the campaign killed a node"
+    );
+    let mut dirs = 0;
+    for shard in std::fs::read_dir(&dir).expect("wal root") {
+        for pass in std::fs::read_dir(shard.expect("shard dir").path()).expect("shard dir") {
+            let pass = pass.expect("pass dir").path();
+            let replay = replay_dir(&pass).unwrap_or_else(|e| panic!("{}: {e}", pass.display()));
+            let again = recover_dir(&pass).expect("second recovery");
+            assert_eq!(again.dropped_bytes, 0, "{}", pass.display());
+            assert_eq!(again.records, replay.records, "{}", pass.display());
+            replay_dir(&pass).expect("replay after the second recovery");
+            dirs += 1;
+        }
+    }
+    assert!(
+        dirs >= 2,
+        "one journal directory per shard-pass, got {dirs}"
     );
 }
 

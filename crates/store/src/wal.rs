@@ -659,11 +659,17 @@ pub struct Recovery {
     pub dropped_bytes: u64,
     /// Whether a torn tail was found (and truncated).
     pub torn_tail: bool,
+    /// Bytes of the seal frame appended to the kept final segment (0 when
+    /// it was already sealed, or no segment was kept).
+    pub seal_bytes: u64,
 }
 
 /// Recovers a WAL directory after a crash: like [`replay_dir`], but a torn
 /// tail on the *final* segment is truncated back to the last valid frame
-/// instead of failing. Damage in sealed (non-final) segments is never
+/// instead of failing, and that segment is then sealed. A resumed writer
+/// opens a fresh segment after it, so without the seal the recovered
+/// segment would become a non-final unsealed one and every later replay
+/// or recovery of the directory would fail. Damage in sealed (non-final) segments is never
 /// recoverable truncation and stays a hard error, as does snapshot damage
 /// (snapshots are installed atomically via rename).
 ///
@@ -680,6 +686,7 @@ pub fn recover_dir(dir: &Path) -> Result<Recovery, StoreError> {
         .collect();
     let mut records = Vec::new();
     let mut dropped_bytes = 0u64;
+    let mut seal_bytes = 0u64;
     for (i, (_, path)) in segs.iter().enumerate() {
         let bytes = read_file(path)?;
         if i + 1 < segs.len() {
@@ -690,6 +697,9 @@ pub fn recover_dir(dir: &Path) -> Result<Recovery, StoreError> {
             if rec.dropped_bytes > 0 {
                 let keep = bytes.len() as u64 - rec.dropped_bytes;
                 truncate_file(path, keep)?;
+            }
+            if !rec.sealed {
+                seal_bytes = seal_file(path, &rec.records)?;
             }
             dropped_bytes += rec.dropped_bytes;
             records.extend(rec.records);
@@ -703,7 +713,24 @@ pub fn recover_dir(dir: &Path) -> Result<Recovery, StoreError> {
         replayed_records,
         dropped_bytes,
         torn_tail: dropped_bytes > 0,
+        seal_bytes,
     })
+}
+
+/// Appends the seal frame for `records` to the segment at `path` and
+/// fsyncs it, returning the frame's length.
+fn seal_file(path: &Path, records: &[WalRecord]) -> Result<u64, StoreError> {
+    let xor = records
+        .iter()
+        .fold(0u64, |x, r| x ^ u64::from(crc32(&r.to_bytes())));
+    let frame = frame_payload(&seal_payload(records.len() as u64, xor));
+    let mut file = fs::OpenOptions::new()
+        .append(true)
+        .open(path)
+        .map_err(|e| io_err(path, e))?;
+    file.write_all(&frame).map_err(|e| io_err(path, e))?;
+    file.sync_all().map_err(|e| io_err(path, e))?;
+    Ok(frame.len() as u64)
 }
 
 fn truncate_file(path: &Path, keep: u64) -> Result<(), StoreError> {
@@ -785,9 +812,38 @@ mod tests {
         assert!(rec.torn_tail);
         assert_eq!(rec.records, all);
         assert!(rec.dropped_bytes > 0);
-        // After truncation the strict open succeeds (unsealed active tail).
+        // After truncation the strict open succeeds.
         let replay = replay_dir(&dir).expect("replay after truncate");
         assert_eq!(replay.records, all);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovered_directory_takes_appends_and_recovers_again() {
+        let dir = tmp("resume");
+        let all = recs(10);
+        let mut w = WalWriter::open(&dir, 2).expect("open");
+        for r in &all[..5] {
+            w.append(r).expect("append");
+        }
+        let frame = frame_record(&all[5]);
+        w.abandon_torn(&frame[..frame.len() / 2]).expect("abandon");
+        let rec = recover_dir(&dir).expect("recover");
+        assert_eq!(rec.records, all[..5]);
+        assert!(rec.seal_bytes > 0, "the kept segment is sealed");
+
+        // The resumed writer opens a fresh segment after the recovered one.
+        let mut w = WalWriter::open(&dir, 2).expect("reopen");
+        for r in &all[5..] {
+            w.append(r).expect("append");
+        }
+        drop(w);
+        let replay = replay_dir(&dir).expect("strict replay after resume");
+        assert_eq!(replay.records, all);
+        let again = recover_dir(&dir).expect("second recovery");
+        assert_eq!(again.records, all);
+        assert_eq!(again.dropped_bytes, 0);
+        assert_eq!(replay_dir(&dir).expect("replay").records, all);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -29,7 +29,8 @@ use mann_accel::core::{SuiteConfig, TaskSuite};
 use mann_accel::hw::{AccelConfig, Accelerator, MemIndexConfig};
 use mann_accel::serve::{
     serve_cluster_durable, ArrivalTrace, Cluster, ClusterConfig, EngineMode, FaultConfig, HopPrune,
-    MembershipPlan, NumericPolicy, SchedulePolicy, ServeConfig, Server, TraceConfig, WalConfig,
+    MembershipPlan, NumericPolicy, SchedulePolicy, ServeConfig, Server, Spec, TraceConfig,
+    WalConfig,
 };
 use serde::json::Value;
 use serde::Serialize;
@@ -453,7 +454,7 @@ fn serve_membership_campaign_is_pinned() {
     let config = ClusterConfig {
         shards: 4,
         replication: 2,
-        membership: MembershipPlan::parse_spec(
+        membership: MembershipPlan::parse(
             "join=3@800,drain=1@2000,fail=2@3000,retune-threshold=0.02,hot-key=9",
         )
         .expect("valid churn spec"),

@@ -73,4 +73,4 @@ pub use index::{IndexCounters, IndexedHopStats, MemIndex, MemIndexConfig};
 pub use pcie::{LinkArbiter, LinkGrant, PcieLink};
 pub use quantize::{quantize_params, quantize_params_tracked};
 pub use resource::{ResourceEstimate, VCU107_BUDGET};
-pub use story::{story_digest, Admission, CacheStats, LruSet, StoryCache, DEFAULT_STORY_CACHE};
+pub use story::{story_digest, Admission, CacheStats, LruSet, DEFAULT_STORY_CACHE};

@@ -240,102 +240,6 @@ impl MemModule {
         score_cycles + tail_cycles
     }
 
-    /// Batched content-based addressing for queries sharing this story:
-    /// each address row is fetched once and scored against every key while
-    /// resident, instead of one full row stream per query. Per `(query,
-    /// row)` pair the MAC order — and the per-query softmax tail — are
-    /// exactly those of [`MemModule::address_into_tracked`], so every
-    /// attention vector, cycle count and status register is bit-identical
-    /// to the per-query call. Returned cycles are the *standalone*
-    /// per-query counts; the sharing the fused stream saves is accounted by
-    /// the caller (see `Accelerator::query_batch`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys` and `sts` lengths differ.
-    pub fn address_batch_into_tracked(
-        &self,
-        keys: &[Vec<f32>],
-        attentions: &mut Vec<Vec<f32>>,
-        sts: &mut [NumericStatus],
-    ) -> Vec<Cycles> {
-        let mut flags = Vec::new();
-        self.address_batch_flagged_into_tracked(keys, attentions, sts, &mut flags)
-    }
-
-    /// [`MemModule::address_batch_into_tracked`] with the per-row numeric
-    /// provenance of [`MemModule::address_flagged_into_tracked`] for every
-    /// query: `flags[q][i]` marks attention weight `i` of query `q` as
-    /// computed through flagged arithmetic. Values, cycles and merged
-    /// statuses remain bit-identical to the per-query calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys` and `sts` lengths differ.
-    pub fn address_batch_flagged_into_tracked(
-        &self,
-        keys: &[Vec<f32>],
-        attentions: &mut Vec<Vec<f32>>,
-        sts: &mut [NumericStatus],
-        flags: &mut Vec<Vec<bool>>,
-    ) -> Vec<Cycles> {
-        assert_eq!(keys.len(), sts.len(), "one status register per query");
-        attentions.clear();
-        attentions.resize(keys.len(), Vec::new());
-        flags.clear();
-        flags.resize(keys.len(), Vec::new());
-        let l = self.rows_a.len();
-        if l == 0 {
-            return vec![Cycles::ZERO; keys.len()];
-        }
-        let mut key_sts = vec![NumericStatus::default(); keys.len()];
-        let keys_q: Vec<Vec<Fixed>> = keys
-            .iter()
-            .zip(key_sts.iter_mut())
-            .map(|(key, st)| {
-                key.iter()
-                    .map(|&y| Fixed::from_f32_tracked(y, st))
-                    .collect()
-            })
-            .collect();
-        let mut rows_sts = vec![NumericStatus::default(); keys.len()];
-        let mut scores = vec![Vec::with_capacity(l); keys.len()];
-        let mut scores_fx = vec![Vec::with_capacity(l); keys.len()];
-        // Shared story stream: each address row is fetched once and scored
-        // against every key while resident.
-        for row in &self.rows_a {
-            for (q, key_q) in keys_q.iter().enumerate() {
-                let mut row_st = NumericStatus::default();
-                let mut acc = Fixed::ZERO;
-                for (x, y) in row.iter().zip(key_q) {
-                    acc = acc.add_tracked(x.mul_tracked(*y, &mut row_st), &mut row_st);
-                }
-                flags[q].push(key_sts[q].stressed() || row_st.stressed());
-                rows_sts[q].merge(&row_st);
-                scores[q].push(acc.to_f32());
-                scores_fx[q].push(acc);
-            }
-        }
-        let per_dot = (self.embed_dim.div_ceil(self.tree.width())) as u64;
-        let score_cycles = Cycles::new(l as u64 * per_dot + self.tree.depth() + 1);
-        (0..keys.len())
-            .map(|q| {
-                let mut tail_st = NumericStatus::default();
-                let tail_cycles =
-                    self.softmax_tail(&scores[q], &scores_fx[q], &mut attentions[q], &mut tail_st);
-                if tail_st.stressed() {
-                    for f in flags[q].iter_mut() {
-                        *f = true;
-                    }
-                }
-                sts[q].merge(&key_sts[q]);
-                sts[q].merge(&rows_sts[q]);
-                sts[q].merge(&tail_st);
-                score_cycles + tail_cycles
-            })
-            .collect()
-    }
-
     /// The softmax pipeline tail shared by every addressing variant:
     /// running max, fixed-point shift shadow, exp LUT, adder-tree
     /// denominator, sequential divider, and the all-flushed uniform
@@ -421,64 +325,20 @@ impl MemModule {
         Cycles::new(self.rows_c.len() as u64 * per_row + self.tree.depth() + 1)
     }
 
-    /// Batched soft read for queries sharing this story: each content
-    /// column is streamed once and accumulated against every query's
-    /// attention weights while resident. Per `(query, element)` pair the
-    /// accumulation visits the rows in the same order as
-    /// [`MemModule::read_into_tracked`], so outputs, cycles and status
-    /// registers are bit-identical to the per-query call. Returned cycles
-    /// are the standalone per-query counts (see
-    /// [`MemModule::address_batch_into_tracked`] for the fusion
-    /// accounting).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `attentions` and `sts` lengths differ, or any attention
-    /// length differs from the occupied slots.
-    pub fn read_batch_into_tracked(
-        &self,
-        attentions: &[Vec<f32>],
-        outs: &mut Vec<Vec<f32>>,
-        sts: &mut [NumericStatus],
-    ) -> Vec<Cycles> {
-        assert_eq!(attentions.len(), sts.len(), "one status register per query");
-        outs.clear();
-        outs.resize(attentions.len(), Vec::new());
-        let atts_q: Vec<Vec<Fixed>> = attentions
-            .iter()
-            .zip(sts.iter_mut())
-            .map(|(attention, st)| {
-                assert_eq!(attention.len(), self.rows_c.len(), "attention length");
-                attention
-                    .iter()
-                    .map(|&a| Fixed::from_f32_tracked(a, st))
-                    .collect()
-            })
-            .collect();
-        for out in outs.iter_mut() {
-            out.reserve(self.embed_dim);
-        }
-        for j in 0..self.embed_dim {
-            for (q, att_q) in atts_q.iter().enumerate() {
-                let mut acc = Fixed::ZERO;
-                for (a, row) in att_q.iter().zip(&self.rows_c) {
-                    acc = acc.add_tracked(a.mul_tracked(row[j], &mut sts[q]), &mut sts[q]);
-                }
-                outs[q].push(acc.to_f32());
-            }
-        }
-        let per_row = (self.embed_dim.div_ceil(self.tree.width())) as u64;
-        let cycles = Cycles::new(self.rows_c.len() as u64 * per_row + self.tree.depth() + 1);
-        vec![cycles; attentions.len()]
-    }
-
     /// Per-hop row-stream issue slots a fused same-story query shares with
-    /// the batch leader: the address-score stream plus the soft-read
-    /// stream, `L * ceil(E / width)` slots each. Pipeline latencies (tree
-    /// depth, exp, divider) stay per query — they are not shared.
-    pub fn stream_cycles_per_hop(&self) -> u64 {
-        let per_dot = self.embed_dim.div_ceil(self.tree.width()) as u64;
-        2 * self.rows_a.len() as u64 * per_dot
+    /// the batch leader: the soft-read stream, `L * ceil(E / width)` slots,
+    /// plus the address-score stream of the same size unless the query's
+    /// candidate index skipped rows (`skipped_rows`) — a query that scans
+    /// only its own candidates shares no address row with a partner.
+    /// Pipeline latencies (tree depth, exp, divider) stay per query — they
+    /// are not shared (see `InferenceRun::mem_stream_per_hop`).
+    pub fn stream_cycles_per_hop(&self, skipped_rows: bool) -> u64 {
+        let read = self.rows_a.len() as u64 * self.slots_per_row();
+        if skipped_rows {
+            read
+        } else {
+            2 * read
+        }
     }
 
     /// Issue slots one stored row occupies on the score (or read) stream:
@@ -526,19 +386,27 @@ impl MemModule {
         score + exp + reduce + div
     }
 
-    /// One indexed addressing hop: probe the candidate index, score only
-    /// the surviving candidates exactly, and fall back to the full scan
-    /// when the margin is too tight or the probe arithmetic saturated.
-    /// Returns the hop's cycles, its counter slice, and the scanned slot
-    /// set (`None` when the hop fell back and streamed every slot) for the
-    /// batch union accounting.
-    fn indexed_hop_core(
+    /// Indexed content-based addressing with per-row numeric provenance:
+    /// the sub-linear counterpart of
+    /// [`MemModule::address_flagged_into_tracked`]. Probes the candidate
+    /// index, scores only the surviving candidates exactly, and falls back
+    /// to the full scan when the margin is too tight or the probe
+    /// arithmetic saturated. Requires [`MemModule::build_index`] to have
+    /// run for the current story. Skipped slots get attention exactly
+    /// `0.0` and a clean flag; a fallback hop is bit-identical to the exact
+    /// pass (attention, flags) with the probe and candidate-scan overhead
+    /// added to its cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no index is built.
+    pub fn address_indexed_flagged_into_tracked(
         &self,
         key: &[f32],
         attention: &mut Vec<f32>,
         st: &mut NumericStatus,
         flags: &mut Vec<bool>,
-    ) -> (Cycles, IndexedHopStats, Option<Vec<usize>>) {
+    ) -> (Cycles, IndexedHopStats) {
         let idx = self
             .index
             .as_ref()
@@ -552,7 +420,7 @@ impl MemModule {
                 skipped: 0,
                 fallback: false,
             };
-            return (Cycles::ZERO, stats, Some(Vec::new()));
+            return (Cycles::ZERO, stats);
         }
         let band = idx.config().band;
         let mut key_st = NumericStatus::default();
@@ -602,7 +470,7 @@ impl MemModule {
                 skipped: 0,
                 fallback: true,
             };
-            return (probe_cycles + score_cycles + exact_cycles, stats, None);
+            return (probe_cycles + score_cycles + exact_cycles, stats);
         }
         let mut tail_st = NumericStatus::default();
         let mut cand_att = Vec::with_capacity(c);
@@ -622,84 +490,7 @@ impl MemModule {
             skipped: (l - c) as u64,
             fallback: false,
         };
-        (
-            probe_cycles + score_cycles + tail_cycles,
-            stats,
-            Some(candidates),
-        )
-    }
-
-    /// Indexed content-based addressing with per-row numeric provenance:
-    /// the sub-linear counterpart of
-    /// [`MemModule::address_flagged_into_tracked`]. Requires
-    /// [`MemModule::build_index`] to have run for the current story.
-    /// Skipped slots get attention exactly `0.0` and a clean flag; a
-    /// fallback hop is bit-identical to the exact pass (attention, flags)
-    /// with the probe and candidate-scan overhead added to its cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no index is built.
-    pub fn address_indexed_flagged_into_tracked(
-        &self,
-        key: &[f32],
-        attention: &mut Vec<f32>,
-        st: &mut NumericStatus,
-        flags: &mut Vec<bool>,
-    ) -> (Cycles, IndexedHopStats) {
-        let (cycles, stats, _) = self.indexed_hop_core(key, attention, st, flags);
-        (cycles, stats)
-    }
-
-    /// Batched indexed addressing for queries sharing this story: each
-    /// query runs the exact per-query indexed hop (results are
-    /// bit-identical to [`MemModule::address_indexed_flagged_into_tracked`]
-    /// by construction), and the fused stream fetches the *union* of the
-    /// queries' candidate rows once. Returns the standalone per-query
-    /// cycles, per-query stats, and the union's slot count (`L` when any
-    /// query fell back to the full scan) for the caller's stream-sharing
-    /// accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys` and `sts` lengths differ, or no index is built.
-    pub fn address_indexed_batch_flagged_into_tracked(
-        &self,
-        keys: &[Vec<f32>],
-        attentions: &mut Vec<Vec<f32>>,
-        sts: &mut [NumericStatus],
-        flags: &mut Vec<Vec<bool>>,
-    ) -> (Vec<Cycles>, Vec<IndexedHopStats>, u64) {
-        assert_eq!(keys.len(), sts.len(), "one status register per query");
-        attentions.clear();
-        attentions.resize(keys.len(), Vec::new());
-        flags.clear();
-        flags.resize(keys.len(), Vec::new());
-        let l = self.rows_a.len();
-        let mut scanned_union = vec![false; l];
-        let mut any_fallback = false;
-        let mut cycles = Vec::with_capacity(keys.len());
-        let mut stats = Vec::with_capacity(keys.len());
-        for (q, key) in keys.iter().enumerate() {
-            let (cy, hop, scanned) =
-                self.indexed_hop_core(key, &mut attentions[q], &mut sts[q], &mut flags[q]);
-            cycles.push(cy);
-            stats.push(hop);
-            match scanned {
-                None => any_fallback = true,
-                Some(slots) => {
-                    for slot in slots {
-                        scanned_union[slot] = true;
-                    }
-                }
-            }
-        }
-        let union = if any_fallback {
-            l as u64
-        } else {
-            scanned_union.iter().filter(|&&b| b).count() as u64
-        };
-        (cycles, stats, union)
+        (probe_cycles + score_cycles + tail_cycles, stats)
     }
 
     /// The stored (quantized) address row `i`, dequantized — for
@@ -868,41 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_addressing_and_read_match_per_query() {
-        let m = filled(6, 8);
-        let keys: Vec<Vec<f32>> = (0..4)
-            .map(|q| (0..8).map(|i| ((q * 8 + i) as f32 * 0.23).sin()).collect())
-            .collect();
-        let mut atts = Vec::new();
-        let mut sts = vec![NumericStatus::default(); keys.len()];
-        let cycles = m.address_batch_into_tracked(&keys, &mut atts, &mut sts);
-        let mut reads = Vec::new();
-        let mut read_sts = vec![NumericStatus::default(); keys.len()];
-        let read_cycles = m.read_batch_into_tracked(&atts, &mut reads, &mut read_sts);
-        for (q, key) in keys.iter().enumerate() {
-            let mut att = Vec::new();
-            let mut st = NumericStatus::default();
-            assert_eq!(cycles[q], m.address_into_tracked(key, &mut att, &mut st));
-            assert_eq!(atts[q], att);
-            assert_eq!(sts[q], st);
-            let mut out = Vec::new();
-            let mut rst = NumericStatus::default();
-            assert_eq!(
-                read_cycles[q],
-                m.read_into_tracked(&att, &mut out, &mut rst)
-            );
-            assert_eq!(reads[q], out);
-            assert_eq!(read_sts[q], rst);
-        }
-        // Empty batches are fine.
-        let mut none = Vec::new();
-        assert!(m
-            .address_batch_into_tracked(&[], &mut none, &mut [])
-            .is_empty());
-        assert!(none.is_empty());
-    }
-
-    #[test]
     fn exact_addressing_cycles_matches_the_exact_pass() {
         let m = filled(14, 8);
         let key: Vec<f32> = (0..8).map(|i| (i as f32 * 0.7).sin()).collect();
@@ -993,44 +749,13 @@ mod tests {
     }
 
     #[test]
-    fn batched_indexed_addressing_matches_solo() {
-        let m = indexed(20, 8, 5, 2, 0.0);
-        let keys: Vec<Vec<f32>> = (0..3)
-            .map(|q| (0..8).map(|i| ((q * 8 + i) as f32 * 0.23).sin()).collect())
-            .collect();
-        let mut atts = Vec::new();
-        let mut sts = vec![NumericStatus::default(); keys.len()];
-        let mut flags = Vec::new();
-        let (cycles, stats, union) =
-            m.address_indexed_batch_flagged_into_tracked(&keys, &mut atts, &mut sts, &mut flags);
-        let mut sum_scanned = 0;
-        for (q, key) in keys.iter().enumerate() {
-            let mut att = Vec::new();
-            let mut st = NumericStatus::default();
-            let mut f = Vec::new();
-            let (cy, hop) = m.address_indexed_flagged_into_tracked(key, &mut att, &mut st, &mut f);
-            assert_eq!(atts[q], att);
-            assert_eq!(sts[q], st);
-            assert_eq!(flags[q], f);
-            assert_eq!(cycles[q], cy);
-            assert_eq!(stats[q], hop);
-            sum_scanned += hop.scanned;
-        }
-        assert!(union <= 20);
-        assert!(union <= sum_scanned, "union cannot exceed the scan total");
-        assert!(stats.iter().all(|s| union >= s.scanned));
-        // Empty batches are fine.
-        let (none, no_stats, u) =
-            m.address_indexed_batch_flagged_into_tracked(&[], &mut atts, &mut [], &mut flags);
-        assert!(none.is_empty() && no_stats.is_empty() && u == 0);
-    }
-
-    #[test]
     fn stream_cycles_per_hop_counts_both_row_streams() {
         let m = filled(10, 32);
         // 10 rows x ceil(32/8) issue slots, addressing + read.
-        assert_eq!(m.stream_cycles_per_hop(), 2 * 10 * 4);
+        assert_eq!(m.stream_cycles_per_hop(false), 2 * 10 * 4);
+        // A query that skipped rows shares only the soft-read stream.
+        assert_eq!(m.stream_cycles_per_hop(true), 10 * 4);
         let empty = MemModule::new(8, &DatapathConfig::default());
-        assert_eq!(empty.stream_cycles_per_hop(), 0);
+        assert_eq!(empty.stream_cycles_per_hop(false), 0);
     }
 }

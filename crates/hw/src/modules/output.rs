@@ -190,54 +190,6 @@ impl OutputModule {
             numeric,
         }
     }
-
-    /// Batched search for hidden states of queries sharing a fused compute
-    /// phase. Without thresholding every query evaluates every class, so
-    /// the class rows stream out of BRAM once for the whole group; each
-    /// `(query, class)` dot product is the exact [`OutputModule::search`]
-    /// computation, so every result is bit-identical to the per-query
-    /// call. With a thresholding plan the searches retire at different
-    /// rows and are delegated to per-query [`OutputModule::search`] (no
-    /// stream sharing is claimed — see
-    /// [`OutputModule::row_stream_cycles`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any hidden width differs from `E`.
-    pub fn search_batch(&self, hs: &[&[f32]]) -> Vec<OutputResult> {
-        if self.plan.is_some() {
-            return hs.iter().map(|h| self.search(h)).collect();
-        }
-        for h in hs {
-            assert_eq!(h.len(), self.w_o.cols(), "hidden width");
-        }
-        let per_dot = self.row_cycles;
-        let epilogue = self.tree.depth() + 2;
-        let mut best = vec![0usize; hs.len()];
-        let mut best_z = vec![Fixed::MIN; hs.len()];
-        let mut numeric = vec![NumericStatus::default(); hs.len()];
-        for class in 0..self.w_o.rows() {
-            let row = self.w_o.row(class);
-            for (q, h) in hs.iter().enumerate() {
-                let (z, _) = self.tree.fixed_dot_tracked(row, h, &mut numeric[q]);
-                if z > best_z[q] {
-                    best_z[q] = z;
-                    best[q] = class;
-                }
-            }
-        }
-        let comparisons = self.w_o.rows();
-        (0..hs.len())
-            .map(|q| OutputResult {
-                label: best[q],
-                comparisons,
-                speculated: false,
-                cycles: Cycles::new(comparisons as u64 * per_dot + epilogue),
-                vetoes: 0,
-                numeric: numeric[q],
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -311,6 +263,13 @@ mod tests {
         let early = m_early.search(&[1.0; 4]);
         assert!(early.cycles < full.cycles);
         assert_eq!(early.comparisons, 1);
+        assert!(!m.is_thresholded() && m_early.is_thresholded());
+        // A fused group shares one stream slot fewer than the per-row
+        // occupancy: the compare cycle stays per query.
+        assert_eq!(
+            m.row_stream_cycles() + 1,
+            4usize.div_ceil(DatapathConfig::default().output_lanes) as u64 + 1
+        );
     }
 
     #[test]
@@ -381,35 +340,6 @@ mod tests {
         assert_eq!(guarded.vetoes, 1);
         assert_eq!(guarded.comparisons, 3);
         assert!(guarded.numeric.mul_sat > 0, "flag recorded");
-    }
-
-    #[test]
-    fn batched_search_matches_per_query() {
-        let m = OutputModule::new(w_o(), &DatapathConfig::default());
-        let hs: Vec<Vec<f32>> = (0..3)
-            .map(|q| (0..4).map(|j| ((q * 4 + j) as f32 * 0.31).sin()).collect())
-            .collect();
-        let refs: Vec<&[f32]> = hs.iter().map(Vec::as_slice).collect();
-        let batch = m.search_batch(&refs);
-        assert_eq!(batch.len(), 3);
-        for (h, got) in hs.iter().zip(&batch) {
-            assert_eq!(got, &m.search(h));
-        }
-        assert!(m.search_batch(&[]).is_empty());
-        // With thresholding the batch delegates per query and still agrees.
-        let t = OutputModule::new(w_o(), &DatapathConfig::default()).with_thresholding(
-            &ith(vec![None, None, None, Some(2.0), None], vec![3, 0, 1, 2, 4]),
-            true,
-        );
-        assert!(t.is_thresholded());
-        for (h, got) in hs.iter().zip(t.search_batch(&refs)) {
-            assert_eq!(got, t.search(h));
-        }
-        // One shared stream slot fewer than the per-row occupancy.
-        assert_eq!(
-            m.row_stream_cycles() + 1,
-            4usize.div_ceil(DatapathConfig::default().output_lanes) as u64 + 1
-        );
     }
 
     /// With no saturation anywhere, the guard is invisible: guarded and

@@ -328,31 +328,4 @@ proptest! {
         prop_assert!(run.index.fallbacks <= run.hops_executed as u64);
         prop_assert!(run.index.build_cycles > 0);
     }
-
-    /// Batched shared-story querying is bit-identical to querying one at a
-    /// time, for any group size and any pruning threshold.
-    #[test]
-    fn batched_queries_are_bit_identical(seed in 0u64..60, threshold in 0.05f32..1.0) {
-        let (model, sample) = random_case(seed, 15, 8, 2);
-        // Same story, three different questions.
-        let mut q2 = sample.clone();
-        q2.question.rotate_left(1);
-        q2.question.push(1);
-        let mut q3 = sample.clone();
-        q3.question = vec![2, 3];
-        let accel = Accelerator::new(
-            model,
-            AccelConfig {
-                hop_prune: HopPrune::with_threshold(threshold),
-                ..AccelConfig::default()
-            },
-        );
-        let story = accel.write_story(&sample);
-        let batch = [&sample, &q2, &q3];
-        let (runs, _) = accel.query_batch(&story, &batch);
-        prop_assert_eq!(runs.len(), batch.len());
-        for (run, s) in runs.iter().zip(batch) {
-            prop_assert_eq!(run, &accel.answer_query(&story, s));
-        }
-    }
 }

@@ -166,6 +166,8 @@ impl FaultConfig {
         check("backoff_base_s", self.backoff_base_s, spec::duration_s)?;
         check("crash_cooldown_s", self.crash_cooldown_s, spec::duration_s)?;
         check("watchdog_s", self.watchdog_s, spec::duration_s)?;
+        check("crashes", f64::from(self.crashes), spec::event_count)?;
+        check("seus", f64::from(self.seus), spec::event_count)?;
         if self.crashes > 0 && self.watchdog_s <= 0.0 {
             return Err(SpecError::new(
                 Self::NAME,

@@ -81,7 +81,7 @@ pub use report::{
 pub use request::{Completion, Export, Rejection, Request, RequestTimestamps};
 pub use scheduler::{InstanceView, SchedulePolicy, Scheduler};
 pub use server::{EngineMode, ServeConfig, ServeOutcome, Server};
-pub use spec::{Spec, SpecError, StoryCacheSize, SIM_HORIZON_S};
+pub use spec::{Spec, SpecError, StoryCacheSize, MAX_FAULT_EVENTS, SIM_HORIZON_S};
 pub use store::{serve_cluster_durable, serve_durable, DurabilityReport, WalConfig};
 pub use trace::{ArrivalTrace, TraceConfig};
 

@@ -486,6 +486,26 @@ impl NumericPhase {
     }
 }
 
+/// Stream cycles a fused group shares. Same story => same per-hop
+/// stream cost: the batch pays max(hops) streams instead of sum(hops),
+/// and one output row stream instead of one per query. The shared
+/// per-hop stream is the smallest of the members' (see
+/// `InferenceRun::mem_stream_per_hop`): a member whose candidate index
+/// skipped rows shares only its read stream, so a mixed group is
+/// credited for no address row a partner never streamed.
+fn fused_savings<'a>(group: impl IntoIterator<Item = &'a InferenceRun>) -> u64 {
+    let mut stream = u64::MAX;
+    let (mut hops, mut max_hops, mut outs, mut max_out) = (0u64, 0u64, 0u64, 0u64);
+    for run in group {
+        stream = stream.min(run.mem_stream_per_hop);
+        hops += run.hops_executed as u64;
+        max_hops = max_hops.max(run.hops_executed as u64);
+        outs += run.out_stream_cycles;
+        max_out = max_out.max(run.out_stream_cycles);
+    }
+    stream * (hops - max_hops) + (outs - max_out)
+}
+
 /// Groups items by key in first-seen order: returns the index of each
 /// group's first item and the group of every item.
 fn first_seen<K: std::hash::Hash + Eq>(keys: impl Iterator<Item = K>) -> (Vec<usize>, Vec<usize>) {
@@ -1309,7 +1329,7 @@ impl<'s, 'a> EventLoop<'s, 'a> {
         }
         let fused = if group.len() > 1 {
             self.batch.fused_groups += 1;
-            let saved = self.fused_savings(&group);
+            let saved = fused_savings(group.iter().map(|&q| self.run_of(q)));
             self.batch.cycles_saved += saved;
             total.saturating_sub(config.clock.sim_time(Cycles::new(saved)))
         } else {
@@ -1329,22 +1349,6 @@ impl<'s, 'a> EventLoop<'s, 'a> {
                 epoch,
             },
         );
-    }
-
-    /// Stream cycles a fused group shares. Same story => same per-hop
-    /// stream cost: the batch pays max(hops) streams instead of sum(hops),
-    /// and one output row stream instead of one per query.
-    fn fused_savings(&self, group: &[usize]) -> u64 {
-        let stream = self.run_of(group[0]).mem_stream_per_hop;
-        let (mut hops, mut max_hops, mut outs, mut max_out) = (0u64, 0u64, 0u64, 0u64);
-        for &q in group {
-            let run = self.run_of(q);
-            hops += run.hops_executed as u64;
-            max_hops = max_hops.max(run.hops_executed as u64);
-            outs += run.out_stream_cycles;
-            max_out = max_out.max(run.out_stream_cycles);
-        }
-        stream * (hops - max_hops) + (outs - max_out)
     }
 
     /// Assembles the outcome once the loop has run dry or halted.
@@ -2184,6 +2188,97 @@ mod tests {
                 .contains("\"prune\""),
             "enabled pruning must publish its section"
         );
+    }
+
+    #[test]
+    fn batched_and_indexed_serve_shares_the_address_stream_only_without_skips() {
+        let s = suite();
+        let t = reuse_trace(&s);
+        let serve_with = |engine, mem_index| {
+            Server::new(
+                &s,
+                ServeConfig {
+                    engine,
+                    mem_index,
+                    ..batched_config(4)
+                },
+            )
+            .serve(&t)
+        };
+        let plain = serve_with(EngineMode::Serial, MemIndexConfig::default());
+        let plain_stream: HashMap<u64, u64> = plain
+            .completions
+            .iter()
+            .map(|c| (c.request.id, c.run.mem_stream_per_hop))
+            .collect();
+        // Every hop falls back and scans all slots: a fused partner shares
+        // both row streams, exactly as with the index off.
+        let fallback = serve_with(EngineMode::Serial, MemIndexConfig::with_params(4, 1, 1.0e9));
+        assert!(fallback.report.batch.fused_groups > 0, "no fused group");
+        for c in &fallback.completions {
+            assert_eq!(c.run.index.skipped_slots, 0);
+            assert_eq!(c.run.mem_stream_per_hop, plain_stream[&c.request.id]);
+        }
+        // A tight band skips rows: those queries streamed only their own
+        // candidates on the address side and share the soft-read half.
+        let armed = MemIndexConfig::with_params(4, 2, 0.0);
+        let serial = serve_with(EngineMode::Serial, armed);
+        let parallel = serve_with(EngineMode::Parallel, armed);
+        assert_eq!(serial, parallel);
+        assert_eq!(
+            serde_json::to_string(&serial.report).unwrap(),
+            serde_json::to_string(&parallel.report).unwrap()
+        );
+        assert!(serial.report.batch.fused_groups > 0, "no fused group");
+        let mut skipped = 0usize;
+        for c in &serial.completions {
+            let full = plain_stream[&c.request.id];
+            assert!(full > 0);
+            if c.run.index.skipped_slots > 0 {
+                skipped += 1;
+                assert_eq!(
+                    2 * c.run.mem_stream_per_hop,
+                    full,
+                    "request {}",
+                    c.request.id
+                );
+            } else {
+                assert_eq!(c.run.mem_stream_per_hop, full, "request {}", c.request.id);
+            }
+        }
+        assert!(skipped > 0, "the tight band never skipped a slot");
+        // Rebuild the fused groups (one instance, one compute start): the
+        // report's credit is the per-group savings summed.
+        for out in [&fallback, &serial] {
+            let mut groups: HashMap<(usize, SimTime), Vec<&InferenceRun>> = HashMap::new();
+            for c in &out.completions {
+                let key = (c.instance, c.timestamps.compute_start);
+                groups.entry(key).or_default().push(&c.run);
+            }
+            let saved: u64 = groups
+                .values()
+                .map(|g| fused_savings(g.iter().copied()))
+                .sum();
+            assert_eq!(saved, out.report.batch.cycles_saved);
+        }
+        // A group mixing a full scan with a skipping scan shares only the
+        // read stream, whichever member leads.
+        let half = serial
+            .completions
+            .iter()
+            .find(|c| c.run.index.skipped_slots > 0);
+        let whole = fallback
+            .completions
+            .iter()
+            .find(|c| c.run.hops_executed > 0);
+        let (half, whole) = (&half.unwrap().run, &whole.unwrap().run);
+        assert!(half.mem_stream_per_hop < whole.mem_stream_per_hop);
+        let hops = (half.hops_executed + whole.hops_executed
+            - half.hops_executed.max(whole.hops_executed)) as u64;
+        let outs = half.out_stream_cycles.min(whole.out_stream_cycles);
+        let expect = half.mem_stream_per_hop * hops + outs;
+        assert_eq!(fused_savings([half, whole]), expect);
+        assert_eq!(fused_savings([whole, half]), expect);
     }
 
     #[test]

@@ -32,6 +32,15 @@ use serde::Deserialize;
 /// added to.
 pub const SIM_HORIZON_S: f64 = 10.0;
 
+/// The most crash events, and the most SEU events, one fault plan may
+/// schedule: 100,000 each.
+///
+/// A materialized plan holds one entry per event, so an unbounded count
+/// from outside would size that allocation directly (`seus=4294967295`
+/// asks for ~100 GB). A campaign this dense is already far past any
+/// plausible fault rate over the [`SIM_HORIZON_S`] horizon.
+pub const MAX_FAULT_EVENTS: u32 = 100_000;
+
 /// Why a piece of outside text was not a valid knob value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecError {
@@ -157,6 +166,15 @@ pub(crate) fn duration_s(s: f64) -> Result<f64, String> {
         (0.0..=SIM_HORIZON_S).contains(&s),
         s,
         format!("must be a simulated time between 0 and the {SIM_HORIZON_S} s horizon"),
+    )
+}
+
+/// A fault-event count within [`MAX_FAULT_EVENTS`].
+pub(crate) fn event_count(n: f64) -> Result<f64, String> {
+    rule(
+        n <= f64::from(MAX_FAULT_EVENTS),
+        n,
+        format!("must be at most {MAX_FAULT_EVENTS} events per plan"),
     )
 }
 

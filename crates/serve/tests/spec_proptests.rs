@@ -7,7 +7,8 @@
 //!    file, return `Ok` or a [`SpecError`] — never a panic — and each
 //!    call finishes well inside a fixed deadline, long inputs included;
 //! 2. an `Ok` value passes the knob's own checks (plans validate, every
-//!    simulated time stays within [`SIM_HORIZON_S`]);
+//!    simulated time stays within [`SIM_HORIZON_S`], fault-event counts
+//!    within [`MAX_FAULT_EVENTS`]);
 //! 3. a knob with a `Display` round-trips through it;
 //! 4. the known bad texts are rejected with the expected key and value,
 //!    reported against the knob's own name.
@@ -19,7 +20,7 @@ use std::time::{Duration, Instant};
 use mann_hw::MemIndexConfig;
 use mann_serve::{
     EngineMode, FaultConfig, HopPrune, MembershipPlan, NumericPolicy, SchedulePolicy, Spec,
-    SpecError, StoryCacheSize, WalConfig, SIM_HORIZON_S,
+    SpecError, StoryCacheSize, WalConfig, MAX_FAULT_EVENTS, SIM_HORIZON_S,
 };
 use proptest::prelude::*;
 
@@ -58,6 +59,7 @@ fn fault(text: &str) -> Result<String, SpecError> {
     assert!([c.backoff_base_s, c.crash_cooldown_s, c.watchdog_s]
         .into_iter()
         .all(within_horizon));
+    assert!(c.crashes <= MAX_FAULT_EVENTS && c.seus <= MAX_FAULT_EVENTS);
     Ok(format!("{c:?}"))
 }
 
@@ -83,6 +85,7 @@ const KNOBS: &[Knob] = &[
              degrade-depth=8,degrade-margin=0.5",
             "crashes=1,watchdog-us=10000000,cooldown-us=10000000,backoff-us=10000000",
             "node-kills=1,",
+            "crashes=100000,watchdog-us=400,seus=100000",
         ],
         invalid: &[
             ("crashes=1,watchdog-us=1e14", "watchdog-us", "1e14"),
@@ -94,6 +97,8 @@ const KNOBS: &[Knob] = &[
             ("crashes=1", "watchdog_s", "0"),
             ("seed=1,retries", "retries", ""),
             ("retries=4294967296", "retries", "4294967296"),
+            ("crashes=4294967295", "crashes", "4294967295"),
+            ("seus=100001", "seus", "100001"),
         ],
     },
     Knob {

@@ -29,7 +29,10 @@ fn main() {
             }
             "--mhz" => mhz = it.next().and_then(|v| v.parse().ok()).expect("--mhz <f>"),
             "--no-ith" => ith = false,
-            _ => {}
+            other => {
+                eprintln!("[infer] unknown argument {other:?}");
+                std::process::exit(2);
+            }
         }
     }
     let bundle = ModelBundle::load(&path).expect("load bundle");

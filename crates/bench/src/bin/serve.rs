@@ -77,9 +77,12 @@
 //! shard at real re-upload cost. `--weights w0,w1,...` sets per-shard
 //! routing weights (one positive integer < 65536 per shard; zero,
 //! negative, fractional or non-finite weights are hard errors, never
-//! silently clamped). At K>1 the report is the merged `ClusterReport`
-//! (written to `serve_cluster_report.json`); at K=1/R=1 the cluster
-//! layer is inert and output is byte-identical to the single-node path.
+//! silently clamped). Every K serves through the cluster layer and
+//! reports one `ServeReport`. At K>1 it is the merged fleet report
+//! (fleet layout, written to `serve_cluster_report.json`); at K=1 the
+//! report is the one node's own (node layout, `serve_report.json`) and the
+//! WAL is journaled into `--wal-dir` itself, so `--shards 1 --replication
+//! 1` prints, writes and journals exactly what the plain serve does.
 //!
 //! `--membership-plan <path|spec>` runs a live-membership campaign on
 //! the cluster: either a JSON file or an inline spec such as
@@ -97,9 +100,11 @@
 //!
 //! Every flag and `MANN_*` value is read and range-checked through
 //! `mann_serve::spec` before any training: a malformed or out-of-range
-//! value (a duration past the `SIM_HORIZON_S` simulated-time horizon, a
-//! non-positive link bandwidth, a non-finite embedding scale) exits with
-//! status 2 and a message naming the flag, variable or key.
+//! value (a duration or `--rate-us` interval past the `SIM_HORIZON_S`
+//! simulated-time horizon, a link slower than `MIN_LINK_BYTES_PER_S`, a
+//! non-finite embedding scale) exits with status 2 and a message naming
+//! the flag, variable or key. So does an unknown flag or a stray
+//! argument: a typo such as `--shard 4` never falls back to a default.
 //!
 //! The serve is a pure function of `(suite, trace, config)`: rerunning
 //! with the same flags — at any `MANN_THREADS` — prints byte-identical
@@ -111,8 +116,8 @@ use mann_bench::HarnessArgs;
 use mann_core::write_json_report;
 use mann_serve::spec::{self, Field, Setter};
 use mann_serve::{
-    serve_cluster_durable, serve_durable, ArrivalTrace, Cluster, ClusterConfig, NumericPolicy,
-    Server, Spec, StoryCacheSize, TraceConfig,
+    serve_cluster_durable, ArrivalTrace, Cluster, ClusterConfig, NumericPolicy, Spec,
+    StoryCacheSize, TraceConfig,
 };
 
 /// Prints a CLI-usage error and exits with status 2.
@@ -148,7 +153,8 @@ fn weight(f: Field<'_>) -> Result<u32, spec::SpecError> {
 }
 
 /// Every serve flag that takes a value, and where the value lands.
-/// `--ith` takes none; the shared flags are read by `HarnessArgs`.
+/// `--ith` takes none; the shared flags are read by `HarnessArgs`, which
+/// rejects any flag in neither list.
 const FLAGS: &[(&str, Setter<ServeArgs>)] = &[
     ("--instances", |a, f| {
         f.count().map(|v| a.node().instances = v)
@@ -165,7 +171,7 @@ const FLAGS: &[(&str, Setter<ServeArgs>)] = &[
         f.count().map(|v| a.node().inflight_limit = v)
     }),
     ("--rate-us", |a, f| {
-        f.ranged::<f64>(spec::positive).map(|v| a.rate_us = v)
+        f.ranged::<f64>(spec::interval_us).map(|v| a.rate_us = v)
     }),
     ("--trace-seed", |a, f| f.count().map(|v| a.trace_seed = v)),
     ("--story-cache", |a, f| {
@@ -198,7 +204,7 @@ const FLAGS: &[(&str, Setter<ServeArgs>)] = &[
         f.spec().map(|v| a.node().mem_index = v)
     }),
     ("--link-gbps", |a, f| {
-        f.ranged::<f64>(spec::positive)
+        f.ranged::<f64>(|gbps| spec::link_bandwidth(gbps * 1e9).map(|_| gbps))
             .map(|v| a.node().pcie.bandwidth_bytes_per_s = v * 1e9)
     }),
     ("--link-latency-us", |a, f| {
@@ -271,7 +277,9 @@ impl ServeArgs {
                 continue;
             }
             let Some(&(name, set)) = FLAGS.iter().find(|(name, _)| *name == flag) else {
-                continue; // a shared HarnessArgs flag
+                // A shared flag or its value: `HarnessArgs` has already
+                // read and checked them, and rejected anything else.
+                continue;
             };
             let value = it
                 .next()
@@ -297,7 +305,7 @@ impl ServeArgs {
         if let Some(n) = out.hot_key_threshold {
             out.cluster.membership.hot_key_threshold = n;
         }
-        if !out.clustered() {
+        if out.cluster.shards == 1 {
             // These knobs only exist at the cluster layer; accepting them
             // on a single-node run would silently serve without them.
             if !out.cluster.membership.is_empty() {
@@ -322,18 +330,14 @@ impl ServeArgs {
     fn node(&mut self) -> &mut mann_serve::ServeConfig {
         &mut self.cluster.base
     }
-
-    /// Whether the run needs the cluster layer; at K=1/R=1 it is inert.
-    fn clustered(&self) -> bool {
-        self.cluster.shards > 1 || self.cluster.replication > 1
-    }
 }
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = HarnessArgs::try_parse(argv.clone()).unwrap_or_else(|e| usage_bail(e));
+    let own: Vec<&str> = FLAGS.iter().map(|&(name, _)| name).collect();
+    let args = HarnessArgs::try_parse_with(argv.clone(), &own, &["--ith"])
+        .unwrap_or_else(|e| usage_bail(e));
     let serve_args = ServeArgs::parse(argv);
-    let clustered = serve_args.clustered();
 
     eprintln!(
         "[serve] training {} tasks ({} train / {} test, seed {}) ...",
@@ -420,51 +424,47 @@ fn main() {
         );
     }
 
-    if clustered {
-        let cluster = Cluster::new(&suite, serve_args.cluster);
-        let c = cluster.config();
+    // Every K serves through the cluster; at K=1/R=1 it is one node, whose
+    // report, text and WAL layout are the single-node ones.
+    let cluster = Cluster::new(&suite, serve_args.cluster);
+    let c = cluster.config();
+    let fleet = c.shards > 1;
+    if fleet {
         eprintln!(
             "[serve] cluster of {} shard(s), replication {} (rendezvous story routing)",
             c.shards, c.replication
         );
-        if !c.membership.is_empty() {
-            eprintln!(
-                "[serve] membership campaign active: {} event(s), retune threshold {}, \
-                 hot-key threshold {}",
-                c.membership.events.len(),
-                c.membership.retune_threshold,
-                c.membership.hot_key_threshold,
-            );
-        }
-        let outcome = serve_cluster_durable(&cluster, &trace).unwrap_or_else(|e| usage_bail(e));
+    }
+    if !c.membership.is_empty() {
+        eprintln!(
+            "[serve] membership campaign active: {} event(s), retune threshold {}, \
+             hot-key threshold {}",
+            c.membership.events.len(),
+            c.membership.retune_threshold,
+            c.membership.hot_key_threshold,
+        );
+    }
+    let outcome = serve_cluster_durable(&cluster, &trace).unwrap_or_else(|e| usage_bail(e));
+    let path = if fleet {
         println!(
             "Served {} requests across {} shard(s) x {} instance(s), replication {}, policy {}",
             trace.len(),
-            outcome.report.shards,
+            c.shards,
             c.base.instances,
-            outcome.report.replication,
+            c.replication,
             c.base.policy
         );
-        println!("{}", outcome.report.render());
-        let path = "target/experiments/serve_cluster_report.json";
-        match write_json_report(path, &outcome.report) {
-            Ok(()) => eprintln!("[serve] cluster report written to {path}"),
-            Err(e) => eprintln!("[serve] could not write {path}: {e}"),
-        }
-        return;
-    }
-
-    let server = Server::new(&suite, serve_args.cluster.base);
-    let outcome = serve_durable(&server, &trace).unwrap_or_else(|e| usage_bail(e));
-    println!(
-        "Served {} requests across {} instance(s), policy {}",
-        trace.len(),
-        server.config().instances,
-        server.config().policy
-    );
+        "target/experiments/serve_cluster_report.json"
+    } else {
+        println!(
+            "Served {} requests across {} instance(s), policy {}",
+            trace.len(),
+            c.base.instances,
+            c.base.policy
+        );
+        "target/experiments/serve_report.json"
+    };
     println!("{}", outcome.report.render());
-
-    let path = "target/experiments/serve_report.json";
     match write_json_report(path, &outcome.report) {
         Ok(()) => eprintln!("[serve] report written to {path}"),
         Err(e) => eprintln!("[serve] could not write {path}: {e}"),

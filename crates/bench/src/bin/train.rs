@@ -12,7 +12,7 @@ use mann_core::{ModelBundle, SuiteConfig, TaskSuite};
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = HarnessArgs::parse(raw.clone());
+    let args = HarnessArgs::parse_with(raw.clone(), &["--task", "--out"]);
     let mut task_no = 1usize;
     let mut out = "model.json".to_owned();
     let mut it = raw.iter();

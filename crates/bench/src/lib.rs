@@ -49,23 +49,37 @@ impl Default for HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parses `--key value` pairs from an iterator of arguments
-    /// (unknown keys are ignored so binaries can add their own).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message when a value is missing or unparsable.
+    /// Parses the shared `--key value` flags of a binary that takes no
+    /// flags of its own. A missing or unparsable value, or any other
+    /// argument, prints a usage message and exits with status 2.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
-        Self::try_parse(args).unwrap_or_else(|e| panic!("{e}"))
+        Self::parse_with(args, &[])
     }
 
-    /// [`HarnessArgs::parse`] for binaries that report usage errors
-    /// themselves.
+    /// [`HarnessArgs::parse`] for a binary that also reads its own `own`
+    /// flags, each followed by a value.
+    pub fn parse_with<I: IntoIterator<Item = String>>(args: I, own: &[&str]) -> Self {
+        Self::try_parse_with(args, own, &[]).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses the shared flags, stepping over the binary's own flags:
+    /// `own_values` (each followed by a value) and `own_switches` (none).
+    /// Together they are the binary's whole flag list, so an argument in
+    /// neither is an error that names it — a typo never silently falls
+    /// back to a default.
     ///
     /// # Errors
     ///
-    /// Returns a usage message when a value is missing or unparsable.
-    pub fn try_parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+    /// Returns a usage message for an unknown argument, a flag missing
+    /// its value, or an unparsable shared value.
+    pub fn try_parse_with<I: IntoIterator<Item = String>>(
+        args: I,
+        own_values: &[&str],
+        own_switches: &[&str],
+    ) -> Result<Self, String> {
         let mut out = Self::default();
         let mut it = args.into_iter();
         while let Some(key) = it.next() {
@@ -84,7 +98,11 @@ impl HarnessArgs {
                     out.story_sentences = grab("--story-sentences")? as usize;
                 }
                 "--joint" => out.joint = true,
-                _ => {}
+                k if own_values.contains(&k) => {
+                    it.next().ok_or_else(|| format!("usage: {k} <value>"))?;
+                }
+                k if own_switches.contains(&k) => {}
+                k => return Err(format!("unknown argument {k:?}")),
             }
         }
         out.tasks = out.tasks.clamp(1, 20);
@@ -139,35 +157,54 @@ impl HarnessArgs {
 mod tests {
     use super::*;
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| (*s).to_owned()).collect()
+    }
+
     #[test]
-    fn parse_reads_known_flags_and_ignores_others() {
-        let a = HarnessArgs::parse(
-            [
+    fn parse_reads_known_flags_and_rejects_others() {
+        let a = HarnessArgs::try_parse_with(
+            strings(&[
                 "--tasks",
                 "3",
-                "--zzz",
+                "--own",
+                "--tasks",
                 "--train",
                 "50",
                 "--reps",
                 "7",
+                "--switch",
                 "--story-sentences",
                 "500",
                 "--joint",
-            ]
-            .iter()
-            .map(|s| (*s).to_owned()),
-        );
-        assert_eq!(a.tasks, 3);
+            ]),
+            &["--own"],
+            &["--switch"],
+        )
+        .expect("every flag is known");
+        assert_eq!(a.tasks, 3, "an own flag's value is skipped, not read");
         assert_eq!(a.train, 50);
         assert_eq!(a.reps, 7);
         assert_eq!(a.story_sentences, 500);
         assert!(a.joint);
         assert_eq!(a.test, HarnessArgs::default().test);
+
+        for (args, named) in [
+            (&["--zzz"][..], "--zzz"),
+            (&["--tasks", "3", "--shard", "4"], "--shard"),
+            (&["stray"], "stray"),
+            (&["--own"], "--own"),
+            (&["--tasks"], "--tasks"),
+            (&["--tasks", "x"], "--tasks"),
+        ] {
+            let e = HarnessArgs::try_parse_with(strings(args), &["--own"], &[]).unwrap_err();
+            assert!(e.contains(named), "{args:?}: {e}");
+        }
     }
 
     #[test]
     fn tasks_are_clamped() {
-        let a = HarnessArgs::parse(["--tasks", "99"].iter().map(|s| (*s).to_owned()));
+        let a = HarnessArgs::parse(strings(&["--tasks", "99"]));
         assert_eq!(a.tasks, 20);
     }
 

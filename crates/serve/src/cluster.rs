@@ -21,23 +21,22 @@
 //!   so what shard `s` injects is independent of how many shards exist or
 //!   the order they are served in;
 //! * aggregation folds per-shard results in `(pass, shard)` order whatever
-//!   order the shards actually ran in, so [`ClusterReport`] bytes are
+//!   order the shards actually ran in, so the fleet report's bytes are
 //!   identical across `MANN_THREADS`, engine modes, and shard-iteration
 //!   order (pinned by tests and a golden).
 //!
-//! At K=1/R=1 the layer is *inert*: the report serializes and renders as
-//! the single shard's [`ServeReport`], byte-identical to the single-node
-//! path.
+//! # One report
+//!
+//! A cluster serve reports through the same [`ServeReport`] as a single
+//! node. At K>1 [`Cluster::aggregate`] merges the passes into a *fleet*
+//! report: it carries each shard's primary-pass node report in
+//! `per_shard`, and a non-empty `per_shard` selects the fleet JSON layout
+//! and text. At K=1/R=1 the layer is *inert*: there is exactly one pass,
+//! and its node report is the cluster's report — equal (`==`) to the
+//! single-node path's, so it serializes and renders the same bytes.
 
 use std::collections::HashMap;
 use std::convert::Infallible;
-
-use mann_core::report::{fnum, percent, TextTable};
-use mann_core::TaskSuite;
-use mann_hw::{
-    fault_mix, shard_fault_seed, story_digest, Accelerator, PcieLink, PhaseCycles, SimTime,
-};
-use serde::Serialize;
 
 use crate::faults::{FaultConfig, FaultReport};
 use crate::membership::{
@@ -45,13 +44,17 @@ use crate::membership::{
 };
 use crate::numeric::NumericHealth;
 use crate::report::{
-    optional_sections, push_sections, render_sections, BatchReport, CacheReport, CompletionStats,
-    HopPruneReport, IndexReport, KeyedSection, LatencySummary, LinkReport, ServeReport,
+    BatchReport, CacheReport, ClusterFailover, CompletionStats, HopPruneReport, IndexReport,
+    LinkReport, ServeReport,
 };
 use crate::request::{Completion, Rejection, Request};
 use crate::server::{ServeConfig, ServeOutcome, Server};
 use crate::store::{never, DurabilityReport};
 use crate::trace::ArrivalTrace;
+use mann_core::TaskSuite;
+use mann_hw::{
+    fault_mix, shard_fault_seed, story_digest, Accelerator, PcieLink, PhaseCycles, SimTime,
+};
 
 /// Domain-separation salt for routing hashes (ASCII "router"): routing
 /// scores share [`fault_mix`] with the fault layer but never its streams.
@@ -249,278 +252,6 @@ impl ClusterConfig {
     }
 }
 
-/// Cross-shard failover accounting (zeros at R = 1 or without crashes).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
-pub struct ClusterFailover {
-    /// Watchdog handoffs: requests a shard exported after its instance
-    /// crashed under them.
-    pub exports: u64,
-    /// Exported requests that completed on a replica shard.
-    pub completed: u64,
-    /// Exported requests lost anyway (replica queue full or replica-side
-    /// shed); still accounted in the cluster partition.
-    pub lost: u64,
-    /// Link bytes the replica passes moved — the re-uploaded stories plus
-    /// their answer drains, paid at real link cost.
-    pub replay_link_bytes: u64,
-    /// Mean end-to-end latency of failed-over completions, measured from
-    /// the *original* arrival, seconds.
-    pub mean_failover_latency_s: f64,
-}
-
-/// Aggregate report of one cluster serve: per-shard [`ServeReport`]s
-/// merged the only sound way — latency percentiles ranked over the pooled
-/// raw samples (never averaged), counter sections summed, MTTR means
-/// re-weighted by their event counts — plus the per-shard breakdown.
-///
-/// Serialization is hand-written for the same reason as [`ServeReport`]:
-/// at K=1/R=1 the cluster layer is inert and the report serializes as the
-/// single shard's `ServeReport`, byte-identical to the single-node path
-/// (the golden suite pins this).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterReport {
-    /// Shard nodes.
-    pub shards: usize,
-    /// Replication factor.
-    pub replication: usize,
-    /// Requests in the trace.
-    pub requests: usize,
-    /// Requests that completed, on any shard.
-    pub completed: usize,
-    /// Requests rejected by a bounded shard queue.
-    pub rejected: usize,
-    /// Requests shed by a shard's fault campaign.
-    pub shed: usize,
-    /// Fraction of completed requests answered correctly.
-    pub accuracy: f64,
-    /// First arrival to the last drain on any shard, seconds.
-    pub makespan_s: f64,
-    /// Completed requests per simulated second of cluster makespan.
-    pub throughput_rps: f64,
-    /// Latency distribution over the pooled per-shard samples (failovers
-    /// measured from their original arrival).
-    pub latency: LatencySummary,
-    /// Mean host-queue wait over all completions, seconds.
-    pub mean_queue_wait_s: f64,
-    /// Deepest host queue on any shard.
-    pub max_queue_depth: usize,
-    /// Cross-shard failover accounting.
-    pub failover: ClusterFailover,
-    /// Story-cache sections summed over shards, hit rate recomputed.
-    pub cache: CacheReport,
-    /// Link sections summed; utilization = fleet busy time over
-    /// `shards x makespan` (each shard has its own link).
-    pub link: LinkReport,
-    /// Compute cycles summed over all completions, by pipeline phase.
-    pub phase_totals: PhaseCycles,
-    /// Completions that exited the output search early (ITH).
-    pub speculated: usize,
-    /// Sum of per-shard energies, joules.
-    pub total_energy_j: f64,
-    /// One-time model-upload cost, paid once per shard, seconds.
-    pub setup_s: f64,
-    /// FNV-1a digest over `(id, answer)` of all completions in id order;
-    /// invariant across shard counts — routing never changes an answer.
-    pub answers_digest: String,
-    /// Fault sections summed (MTTR means re-weighted); `enabled == false`
-    /// omits the key, exactly like [`ServeReport`].
-    pub fault: FaultReport,
-    /// Numeric-health sections summed, histograms merged; key omitted
-    /// when disabled.
-    pub numeric: NumericHealth,
-    /// Batching sections summed, histograms merged element-wise; key
-    /// omitted when disabled.
-    pub batch: BatchReport,
-    /// Hop-pruning sections summed; key omitted when disabled.
-    pub prune: HopPruneReport,
-    /// Candidate-index sections summed; key omitted when disabled.
-    pub index: IndexReport,
-    /// Durability sections summed (recovery MTTR re-weighted by kill
-    /// counts); key omitted when the write-ahead log is off.
-    pub durability: DurabilityReport,
-    /// Live-membership summary (epoch timeline, hand-off accounting,
-    /// moved-key fraction); key omitted when the plan is empty, so every
-    /// pre-membership report stays byte-identical.
-    pub membership: MembershipReport,
-    /// Each shard's primary-pass report, in shard-index order (replica
-    /// passes are folded into the merged sections above).
-    pub per_shard: Vec<ServeReport>,
-}
-
-impl Serialize for ClusterReport {
-    fn to_value(&self) -> serde_json::Value {
-        if self.shards == 1 && self.replication == 1 {
-            // Inert cluster: the report *is* the single shard's report.
-            return self.per_shard[0].to_value();
-        }
-        let mut pairs: Vec<(String, serde_json::Value)> = vec![
-            ("shards".into(), self.shards.to_value()),
-            ("replication".into(), self.replication.to_value()),
-            ("requests".into(), self.requests.to_value()),
-            ("completed".into(), self.completed.to_value()),
-            ("rejected".into(), self.rejected.to_value()),
-            ("shed".into(), self.shed.to_value()),
-            ("accuracy".into(), self.accuracy.to_value()),
-            ("makespan_s".into(), self.makespan_s.to_value()),
-            ("throughput_rps".into(), self.throughput_rps.to_value()),
-            ("latency".into(), self.latency.to_value()),
-            (
-                "mean_queue_wait_s".into(),
-                self.mean_queue_wait_s.to_value(),
-            ),
-            ("max_queue_depth".into(), self.max_queue_depth.to_value()),
-            ("failover".into(), self.failover.to_value()),
-            ("cache".into(), self.cache.to_value()),
-            ("link".into(), self.link.to_value()),
-            ("phase_totals".into(), self.phase_totals.to_value()),
-            ("speculated".into(), self.speculated.to_value()),
-            ("total_energy_j".into(), self.total_energy_j.to_value()),
-            ("setup_s".into(), self.setup_s.to_value()),
-            ("answers_digest".into(), self.answers_digest.to_value()),
-        ];
-        push_sections(&mut pairs, &self.sections());
-        pairs.push(("per_shard".into(), self.per_shard.to_value()));
-        serde_json::Value::Object(pairs)
-    }
-}
-
-impl ClusterReport {
-    /// The optional sections, keyed, in report order: the ones shared
-    /// with [`ServeReport`], then membership.
-    fn sections(&self) -> Vec<KeyedSection<'_>> {
-        let mut sections = optional_sections(
-            &self.fault,
-            &self.numeric,
-            &self.batch,
-            &self.prune,
-            &self.index,
-            &self.durability,
-        )
-        .to_vec();
-        sections.push(("membership", &self.membership));
-        sections
-    }
-
-    /// A copy with every durability section (cluster-level and per-shard)
-    /// reset to the disabled default: with the WAL on but no kills, this
-    /// must be byte-identical to the same campaign served without a WAL —
-    /// the journaling layer may observe a serve, never change it.
-    #[must_use]
-    pub fn sans_durability(&self) -> Self {
-        let mut r = self.clone();
-        r.durability = DurabilityReport::default();
-        for shard in &mut r.per_shard {
-            shard.durability = DurabilityReport::default();
-        }
-        r
-    }
-
-    /// Renders the cluster report as text tables; at K=1/R=1 this is the
-    /// single shard's render, byte for byte.
-    pub fn render(&self) -> String {
-        if self.shards == 1 && self.replication == 1 {
-            return self.per_shard[0].render();
-        }
-        let mut out = String::new();
-        let mut t = TextTable::new(vec!["cluster metric".into(), "value".into()]);
-        t.row(vec![
-            "shards x replication".into(),
-            format!("{} x {}", self.shards, self.replication),
-        ]);
-        t.row(vec!["requests".into(), self.requests.to_string()]);
-        t.row(vec!["completed".into(), self.completed.to_string()]);
-        t.row(vec!["rejected".into(), self.rejected.to_string()]);
-        t.row(vec!["shed".into(), self.shed.to_string()]);
-        t.row(vec!["accuracy".into(), percent(self.accuracy)]);
-        t.row(vec![
-            "makespan".into(),
-            format!("{} ms", fnum(self.makespan_s * 1e3, 3)),
-        ]);
-        t.row(vec![
-            "throughput".into(),
-            format!("{} req/s", fnum(self.throughput_rps, 1)),
-        ]);
-        t.row(vec![
-            "latency p50/p95/p99 (pooled)".into(),
-            format!(
-                "{} / {} / {} us",
-                fnum(self.latency.p50_s * 1e6, 1),
-                fnum(self.latency.p95_s * 1e6, 1),
-                fnum(self.latency.p99_s * 1e6, 1)
-            ),
-        ]);
-        t.row(vec![
-            "mean queue wait".into(),
-            format!("{} us", fnum(self.mean_queue_wait_s * 1e6, 1)),
-        ]);
-        t.row(vec![
-            "cross-shard failovers".into(),
-            format!(
-                "{} exported, {} completed, {} lost, {} B re-uploaded",
-                self.failover.exports,
-                self.failover.completed,
-                self.failover.lost,
-                self.failover.replay_link_bytes
-            ),
-        ]);
-        t.row(vec![
-            "fleet link utilization".into(),
-            format!(
-                "{} ({} grants)",
-                percent(self.link.utilization),
-                self.link.grants
-            ),
-        ]);
-        t.row(vec![
-            "cache hits".into(),
-            format!(
-                "{} / {} ({})",
-                self.cache.hits,
-                self.cache.hits + self.cache.misses,
-                percent(self.cache.hit_rate)
-            ),
-        ]);
-        t.row(vec![
-            "energy".into(),
-            format!("{} J", fnum(self.total_energy_j, 3)),
-        ]);
-        t.row(vec![
-            "setup (model uploads)".into(),
-            format!("{} ms", fnum(self.setup_s * 1e3, 3)),
-        ]);
-        t.row(vec!["answers digest".into(), self.answers_digest.clone()]);
-        out.push_str(&t.render());
-        out.push('\n');
-        render_sections(&mut out, &self.sections());
-        let mut st = TextTable::new(vec![
-            "shard".into(),
-            "requests".into(),
-            "completed".into(),
-            "rejected".into(),
-            "cache hit rate".into(),
-            "crashes".into(),
-            "failovers".into(),
-            "p99 (us)".into(),
-            "energy (J)".into(),
-        ]);
-        for (s, r) in self.per_shard.iter().enumerate() {
-            st.row(vec![
-                s.to_string(),
-                r.requests.to_string(),
-                r.completed.to_string(),
-                r.rejected.to_string(),
-                percent(r.cache.hit_rate),
-                r.fault.crashes.to_string(),
-                r.fault.failovers.to_string(),
-                fnum(r.latency.p99_s * 1e6, 1),
-                fnum(r.total_energy_j, 3),
-            ]);
-        }
-        out.push_str(&st.render());
-        out
-    }
-}
-
 /// Everything a cluster serve produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterOutcome {
@@ -539,8 +270,9 @@ pub struct ClusterOutcome {
     /// dedicated all-replicas-down counter: they land in `sheds` (so the
     /// cluster partition stays exact) and are never silently dropped.
     pub unroutable: Vec<u64>,
-    /// The aggregate report.
-    pub report: ClusterReport,
+    /// The aggregate report: a fleet [`ServeReport`], or at K=1/R=1 the
+    /// one shard's node report.
+    pub report: ServeReport,
 }
 
 /// A sharded cluster over one trained suite.
@@ -995,7 +727,8 @@ impl<'a> Cluster<'a> {
     }
 
     /// Folds per-pass outcomes (already in canonical `(pass, shard)`
-    /// order) into the cluster outcome.
+    /// order) into the cluster outcome, whose report is the fleet report
+    /// at K>1 and the one pass's node report at K=1.
     #[allow(clippy::too_many_lines)]
     fn aggregate(
         &self,
@@ -1056,195 +789,6 @@ impl<'a> Cluster<'a> {
         failover_ids.sort_unstable();
         failover_ids.dedup();
 
-        // End-to-end latencies from the *original* arrival (a failover's
-        // replay enqueue is its handoff time, not its arrival), pooled
-        // across shards and ranked once — never averaged per shard.
-        let latencies: Vec<f64> = completions
-            .iter()
-            .map(|c| {
-                c.timestamps
-                    .drain_end
-                    .saturating_sub(arrival_of[&c.request.id])
-                    .as_s()
-            })
-            .collect();
-
-        // ----- merge the report sections --------------------------------
-        let makespan_s = passes
-            .iter()
-            .map(|(_, _, o)| o.report.makespan_s)
-            .fold(0.0f64, f64::max);
-        let stats = CompletionStats::new(&completions, &latencies, makespan_s);
-        let mut cache = CacheReport {
-            capacity: base.story_cache,
-            ..CacheReport::default()
-        };
-        let mut link = LinkReport::default();
-        let mut fault = FaultReport::default();
-        let mut numeric = NumericHealth::default();
-        let mut batch = BatchReport {
-            enabled: base.batch_window > 1,
-            window: base.batch_window,
-            ..BatchReport::default()
-        };
-        let mut prune = HopPruneReport {
-            enabled: base.hop_prune.enabled,
-            threshold: base.hop_prune.threshold,
-            ..HopPruneReport::default()
-        };
-        let mut durability = DurabilityReport::default();
-        // MTTR means re-weight by kill count, like the fault MTTRs below.
-        let mut mttr_kill = 0.0f64;
-        // Like the single-node report, a disabled section stays the
-        // default rather than echoing config.
-        let mut index = IndexReport::default();
-        if base.mem_index.enabled {
-            index.enabled = true;
-            index.k = base.mem_index.k;
-            index.nprobe = base.mem_index.nprobe;
-            index.band = base.mem_index.band;
-        }
-        let mut phase_totals = PhaseCycles::default();
-        let mut speculated = 0usize;
-        let mut total_energy_j = 0.0;
-        let mut max_queue_depth = 0usize;
-        // MTTR means are re-weighted by their event counts so the merged
-        // figure is the fleet mean, not a mean of shard means.
-        let (mut mttr_l, mut mttr_i, mut mttr_s) = (0.0f64, 0.0f64, 0.0f64);
-        for (_, _, out) in &passes {
-            let r = &out.report;
-            cache.unique_stories += r.cache.unique_stories;
-            cache.hits += r.cache.hits;
-            cache.misses += r.cache.misses;
-            cache.evictions += r.cache.evictions;
-            cache.write_cycles_saved += r.cache.write_cycles_saved;
-            cache.upload_bytes_saved += r.cache.upload_bytes_saved;
-            cache.write_energy_saved_j += r.cache.write_energy_saved_j;
-            link.grants += r.link.grants;
-            link.bytes += r.link.bytes;
-            link.busy_s += r.link.busy_s;
-            phase_totals += r.phase_totals;
-            speculated += r.speculated;
-            total_energy_j += r.total_energy_j;
-            max_queue_depth = max_queue_depth.max(r.max_queue_depth);
-            if r.fault.enabled {
-                fault.enabled = true;
-                fault.link_corruptions += r.fault.link_corruptions;
-                fault.retransmits += r.fault.retransmits;
-                fault.retry_exhausted += r.fault.retry_exhausted;
-                fault.retry_link_s += r.fault.retry_link_s;
-                fault.retry_energy_j += r.fault.retry_energy_j;
-                fault.crashes += r.fault.crashes;
-                fault.watchdog_fires += r.fault.watchdog_fires;
-                fault.failovers += r.fault.failovers;
-                fault.shed_link += r.fault.shed_link;
-                fault.shed_overload += r.fault.shed_overload;
-                fault.degraded += r.fault.degraded;
-                fault.seu_events += r.fault.seu_events;
-                fault.scrubs += r.fault.scrubs;
-                fault.scrub_cycles += r.fault.scrub_cycles;
-                fault.scrub_energy_j += r.fault.scrub_energy_j;
-                mttr_l += r.fault.mttr_link_s * r.fault.retransmits as f64;
-                mttr_i += r.fault.mttr_instance_s * r.fault.failovers as f64;
-                mttr_s += r.fault.mttr_seu_s * r.fault.scrubs as f64;
-            }
-            if r.numeric.enabled {
-                numeric.enabled = true;
-                numeric.policy.clone_from(&r.numeric.policy);
-                numeric.flagged += r.numeric.flagged;
-                numeric.vetoed += r.numeric.vetoed;
-                numeric.failed_over += r.numeric.failed_over;
-                numeric.failover_cycles += r.numeric.failover_cycles;
-                numeric.failover_energy_j += r.numeric.failover_energy_j;
-                numeric.histogram.merge(&r.numeric.histogram);
-            }
-            if r.batch.enabled {
-                batch.groups += r.batch.groups;
-                batch.fused_groups += r.batch.fused_groups;
-                batch.batched_requests += r.batch.batched_requests;
-                if batch.size_histogram.len() < r.batch.size_histogram.len() {
-                    batch.size_histogram.resize(r.batch.size_histogram.len(), 0);
-                }
-                for (acc, &v) in batch.size_histogram.iter_mut().zip(&r.batch.size_histogram) {
-                    *acc += v;
-                }
-                batch.cycles_saved += r.batch.cycles_saved;
-                batch.energy_saved_j += r.batch.energy_saved_j;
-            }
-            if r.prune.enabled {
-                prune.pruned_completions += r.prune.pruned_completions;
-                prune.hops_executed += r.prune.hops_executed;
-                prune.hops_saved += r.prune.hops_saved;
-                prune.vetoes += r.prune.vetoes;
-                prune.cycles_saved += r.prune.cycles_saved;
-                prune.energy_saved_j += r.prune.energy_saved_j;
-            }
-            if r.index.enabled {
-                index.scanned_slots += r.index.scanned_slots;
-                index.skipped_slots += r.index.skipped_slots;
-                index.fallbacks += r.index.fallbacks;
-                index.build_cycles += r.index.build_cycles;
-                index.cycles_saved += r.index.cycles_saved;
-                index.energy_saved_j += r.index.energy_saved_j;
-            }
-            if r.durability.enabled {
-                let d = &r.durability;
-                durability.enabled = true;
-                durability.records += d.records;
-                durability.story_records += d.story_records;
-                durability.completion_records += d.completion_records;
-                durability.evict_records += d.evict_records;
-                durability.wal_bytes += d.wal_bytes;
-                durability.segments += d.segments;
-                durability.fsyncs += d.fsyncs;
-                durability.fsync_s += d.fsync_s;
-                durability.snapshots += d.snapshots;
-                durability.snapshot_bytes += d.snapshot_bytes;
-                durability.gc_segments += d.gc_segments;
-                durability.gc_snapshots += d.gc_snapshots;
-                durability.gc_bytes += d.gc_bytes;
-                durability.gc_stories += d.gc_stories;
-                durability.node_kills += d.node_kills;
-                durability.torn_tails += d.torn_tails;
-                durability.dropped_bytes += d.dropped_bytes;
-                durability.replayed_records += d.replayed_records;
-                durability.recovered_completions += d.recovered_completions;
-                durability.redispatched += d.redispatched;
-                mttr_kill += d.recovery_mttr_s * d.node_kills as f64;
-            }
-        }
-        cache.hit_rate = if cache.hits + cache.misses > 0 {
-            cache.hits as f64 / (cache.hits + cache.misses) as f64
-        } else {
-            0.0
-        };
-        link.utilization = if makespan_s > 0.0 {
-            (link.busy_s / (k as f64 * makespan_s)).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        if fault.enabled {
-            fault.plan_seed = base.faults.seed;
-            let mean = |sum: f64, n: u64| if n > 0 { sum / n as f64 } else { 0.0 };
-            fault.mttr_link_s = mean(mttr_l, fault.retransmits);
-            fault.mttr_instance_s = mean(mttr_i, fault.failovers);
-            fault.mttr_seu_s = mean(mttr_s, fault.scrubs);
-        }
-        if durability.node_kills > 0 {
-            durability.recovery_mttr_s = mttr_kill / durability.node_kills as f64;
-        }
-
-        // Per-shard breakdown = each shard's primary pass; setup (model
-        // upload) is paid once per shard — replica passes reuse the loaded
-        // shard and add none.
-        let per_shard: Vec<ServeReport> = passes
-            .iter()
-            .filter(|&&(p, _, _)| p == 0)
-            .map(|(_, _, o)| o.report.clone())
-            .collect();
-        debug_assert_eq!(per_shard.len(), k);
-        let setup_s: f64 = per_shard.iter().map(|r| r.setup_s).sum();
-
         debug_assert!(
             {
                 let mut seen: Vec<u64> = completions
@@ -1261,35 +805,233 @@ impl<'a> Cluster<'a> {
             "completions + rejections + sheds must partition the trace"
         );
 
-        let report = ClusterReport {
-            shards: k,
-            replication: self.config.replication,
-            requests: trace.requests.len(),
-            completed: completions.len(),
-            rejected: rejections.len(),
-            shed: sheds.len(),
-            accuracy: stats.accuracy,
-            makespan_s,
-            throughput_rps: stats.throughput_rps,
-            latency: stats.latency,
-            mean_queue_wait_s: stats.mean_queue_wait_s,
-            max_queue_depth,
-            failover,
-            cache,
-            link,
-            phase_totals,
-            speculated,
-            total_energy_j,
-            setup_s,
-            answers_digest: stats.answers_digest,
-            fault,
-            numeric,
-            batch,
-            prune,
-            index,
-            durability,
-            membership,
-            per_shard,
+        // At K=1/R=1 there is exactly one pass, and its node report is the
+        // cluster's report.
+        let report = if k == 1 {
+            let (_, _, only) = passes.into_iter().next().expect("one pass at K=1");
+            only.report
+        } else {
+            // End-to-end latencies from the *original* arrival (a failover's
+            // replay enqueue is its handoff time, not its arrival), pooled
+            // across shards and ranked once — never averaged per shard.
+            let latencies: Vec<f64> = completions
+                .iter()
+                .map(|c| {
+                    c.timestamps
+                        .drain_end
+                        .saturating_sub(arrival_of[&c.request.id])
+                        .as_s()
+                })
+                .collect();
+
+            // ----- merge the report sections ----------------------------
+            let makespan_s = passes
+                .iter()
+                .map(|(_, _, o)| o.report.makespan_s)
+                .fold(0.0f64, f64::max);
+            let stats = CompletionStats::new(&completions, &latencies, makespan_s);
+            let mut cache = CacheReport {
+                capacity: base.story_cache,
+                ..CacheReport::default()
+            };
+            let mut link = LinkReport::default();
+            let mut fault = FaultReport::default();
+            let mut numeric = NumericHealth::default();
+            let mut batch = BatchReport {
+                enabled: base.batch_window > 1,
+                window: base.batch_window,
+                ..BatchReport::default()
+            };
+            let mut prune = HopPruneReport {
+                enabled: base.hop_prune.enabled,
+                threshold: base.hop_prune.threshold,
+                ..HopPruneReport::default()
+            };
+            let mut durability = DurabilityReport::default();
+            // MTTR means re-weight by kill count, like the fault MTTRs below.
+            let mut mttr_kill = 0.0f64;
+            // Like the single-node report, a disabled section stays the
+            // default rather than echoing config.
+            let mut index = IndexReport::default();
+            if base.mem_index.enabled {
+                index.enabled = true;
+                index.k = base.mem_index.k;
+                index.nprobe = base.mem_index.nprobe;
+                index.band = base.mem_index.band;
+            }
+            let mut phase_totals = PhaseCycles::default();
+            let mut speculated = 0usize;
+            let mut total_energy_j = 0.0;
+            let mut max_queue_depth = 0usize;
+            // MTTR means are re-weighted by their event counts so the merged
+            // figure is the fleet mean, not a mean of shard means.
+            let (mut mttr_l, mut mttr_i, mut mttr_s) = (0.0f64, 0.0f64, 0.0f64);
+            for (_, _, out) in &passes {
+                let r = &out.report;
+                cache.unique_stories += r.cache.unique_stories;
+                cache.hits += r.cache.hits;
+                cache.misses += r.cache.misses;
+                cache.evictions += r.cache.evictions;
+                cache.write_cycles_saved += r.cache.write_cycles_saved;
+                cache.upload_bytes_saved += r.cache.upload_bytes_saved;
+                cache.write_energy_saved_j += r.cache.write_energy_saved_j;
+                link.grants += r.link.grants;
+                link.bytes += r.link.bytes;
+                link.busy_s += r.link.busy_s;
+                phase_totals += r.phase_totals;
+                speculated += r.speculated;
+                total_energy_j += r.total_energy_j;
+                max_queue_depth = max_queue_depth.max(r.max_queue_depth);
+                if r.fault.enabled {
+                    fault.enabled = true;
+                    fault.link_corruptions += r.fault.link_corruptions;
+                    fault.retransmits += r.fault.retransmits;
+                    fault.retry_exhausted += r.fault.retry_exhausted;
+                    fault.retry_link_s += r.fault.retry_link_s;
+                    fault.retry_energy_j += r.fault.retry_energy_j;
+                    fault.crashes += r.fault.crashes;
+                    fault.watchdog_fires += r.fault.watchdog_fires;
+                    fault.failovers += r.fault.failovers;
+                    fault.shed_link += r.fault.shed_link;
+                    fault.shed_overload += r.fault.shed_overload;
+                    fault.degraded += r.fault.degraded;
+                    fault.seu_events += r.fault.seu_events;
+                    fault.scrubs += r.fault.scrubs;
+                    fault.scrub_cycles += r.fault.scrub_cycles;
+                    fault.scrub_energy_j += r.fault.scrub_energy_j;
+                    mttr_l += r.fault.mttr_link_s * r.fault.retransmits as f64;
+                    mttr_i += r.fault.mttr_instance_s * r.fault.failovers as f64;
+                    mttr_s += r.fault.mttr_seu_s * r.fault.scrubs as f64;
+                }
+                if r.numeric.enabled {
+                    numeric.enabled = true;
+                    numeric.policy.clone_from(&r.numeric.policy);
+                    numeric.flagged += r.numeric.flagged;
+                    numeric.vetoed += r.numeric.vetoed;
+                    numeric.failed_over += r.numeric.failed_over;
+                    numeric.failover_cycles += r.numeric.failover_cycles;
+                    numeric.failover_energy_j += r.numeric.failover_energy_j;
+                    numeric.histogram.merge(&r.numeric.histogram);
+                }
+                if r.batch.enabled {
+                    batch.groups += r.batch.groups;
+                    batch.fused_groups += r.batch.fused_groups;
+                    batch.batched_requests += r.batch.batched_requests;
+                    if batch.size_histogram.len() < r.batch.size_histogram.len() {
+                        batch.size_histogram.resize(r.batch.size_histogram.len(), 0);
+                    }
+                    for (acc, &v) in batch.size_histogram.iter_mut().zip(&r.batch.size_histogram) {
+                        *acc += v;
+                    }
+                    batch.cycles_saved += r.batch.cycles_saved;
+                    batch.energy_saved_j += r.batch.energy_saved_j;
+                }
+                if r.prune.enabled {
+                    prune.pruned_completions += r.prune.pruned_completions;
+                    prune.hops_executed += r.prune.hops_executed;
+                    prune.hops_saved += r.prune.hops_saved;
+                    prune.vetoes += r.prune.vetoes;
+                    prune.cycles_saved += r.prune.cycles_saved;
+                    prune.energy_saved_j += r.prune.energy_saved_j;
+                }
+                if r.index.enabled {
+                    index.scanned_slots += r.index.scanned_slots;
+                    index.skipped_slots += r.index.skipped_slots;
+                    index.fallbacks += r.index.fallbacks;
+                    index.build_cycles += r.index.build_cycles;
+                    index.cycles_saved += r.index.cycles_saved;
+                    index.energy_saved_j += r.index.energy_saved_j;
+                }
+                if r.durability.enabled {
+                    let d = &r.durability;
+                    durability.enabled = true;
+                    durability.records += d.records;
+                    durability.story_records += d.story_records;
+                    durability.completion_records += d.completion_records;
+                    durability.evict_records += d.evict_records;
+                    durability.wal_bytes += d.wal_bytes;
+                    durability.segments += d.segments;
+                    durability.fsyncs += d.fsyncs;
+                    durability.fsync_s += d.fsync_s;
+                    durability.snapshots += d.snapshots;
+                    durability.snapshot_bytes += d.snapshot_bytes;
+                    durability.gc_segments += d.gc_segments;
+                    durability.gc_snapshots += d.gc_snapshots;
+                    durability.gc_bytes += d.gc_bytes;
+                    durability.gc_stories += d.gc_stories;
+                    durability.node_kills += d.node_kills;
+                    durability.torn_tails += d.torn_tails;
+                    durability.dropped_bytes += d.dropped_bytes;
+                    durability.replayed_records += d.replayed_records;
+                    durability.recovered_completions += d.recovered_completions;
+                    durability.redispatched += d.redispatched;
+                    mttr_kill += d.recovery_mttr_s * d.node_kills as f64;
+                }
+            }
+            cache.hit_rate = if cache.hits + cache.misses > 0 {
+                cache.hits as f64 / (cache.hits + cache.misses) as f64
+            } else {
+                0.0
+            };
+            link.utilization = if makespan_s > 0.0 {
+                (link.busy_s / (k as f64 * makespan_s)).clamp(0.0, 1.0)
+            } else {
+                0.0
+            };
+            if fault.enabled {
+                fault.plan_seed = base.faults.seed;
+                let mean = |sum: f64, n: u64| if n > 0 { sum / n as f64 } else { 0.0 };
+                fault.mttr_link_s = mean(mttr_l, fault.retransmits);
+                fault.mttr_instance_s = mean(mttr_i, fault.failovers);
+                fault.mttr_seu_s = mean(mttr_s, fault.scrubs);
+            }
+            if durability.node_kills > 0 {
+                durability.recovery_mttr_s = mttr_kill / durability.node_kills as f64;
+            }
+
+            // Per-shard breakdown = each shard's primary pass; setup (model
+            // upload) is paid once per shard — replica passes reuse the loaded
+            // shard and add none.
+            let per_shard: Vec<ServeReport> = passes
+                .iter()
+                .filter(|&&(p, _, _)| p == 0)
+                .map(|(_, _, o)| o.report.clone())
+                .collect();
+            debug_assert_eq!(per_shard.len(), k);
+            let setup_s: f64 = per_shard.iter().map(|r| r.setup_s).sum();
+
+            ServeReport {
+                shards: k,
+                replication: self.config.replication,
+                requests: trace.requests.len(),
+                completed: completions.len(),
+                rejected: rejections.len(),
+                shed: sheds.len(),
+                accuracy: stats.accuracy,
+                makespan_s,
+                throughput_rps: stats.throughput_rps,
+                latency: stats.latency,
+                mean_queue_wait_s: stats.mean_queue_wait_s,
+                max_queue_depth,
+                instances: Vec::new(),
+                failover,
+                cache,
+                link,
+                phase_totals,
+                speculated,
+                total_energy_j,
+                setup_s,
+                answers_digest: stats.answers_digest,
+                fault,
+                numeric,
+                batch,
+                prune,
+                index,
+                durability,
+                membership,
+                fail_stopped: false,
+                per_shard,
+            }
         };
         ClusterOutcome {
             completions,

@@ -32,11 +32,12 @@
 //! its shard (weighted rendezvous hashing), every shard runs its own
 //! queue, link arbiter, instance pool, story cache and fault plan, and a
 //! replication factor R re-dispatches crash-stranded requests to the
-//! story's replica shard at real re-upload cost. A [`ClusterReport`]
+//! story's replica shard at real re-upload cost. The cluster reports
+//! through the same [`ServeReport`] as one node: at K>1 a fleet report
 //! merges the per-shard reports (percentiles ranked over pooled samples,
 //! never averaged) and is byte-identical across engines, thread counts
-//! and shard-iteration order; at K=1/R=1 it reduces byte-identically to
-//! the single-node [`ServeReport`]. A [`MembershipPlan`] makes the shard
+//! and shard-iteration order; at K=1/R=1 the report *is* the single
+//! node's report. A [`MembershipPlan`] makes the shard
 //! set itself a timeline — scheduled joins, drains and fail-stops,
 //! queue-pressure weight retuning and hot-key splitting — resolved
 //! purely against the plan so the churned report keeps every one of
@@ -64,9 +65,7 @@ pub mod spec;
 mod store;
 mod trace;
 
-pub use cluster::{
-    Cluster, ClusterConfig, ClusterFailover, ClusterOutcome, ClusterReport, ShardRouter,
-};
+pub use cluster::{Cluster, ClusterConfig, ClusterOutcome, ShardRouter};
 pub use faults::{FaultConfig, FaultPlan, FaultReport};
 pub use mann_hw::MemIndexConfig;
 pub use mann_ith::HopPrune;
@@ -75,8 +74,8 @@ pub use membership::{
 };
 pub use numeric::{NumericHealth, NumericPolicy};
 pub use report::{
-    answers_digest, BatchReport, CacheReport, HopPruneReport, InstanceReport, LatencySummary,
-    LinkReport, ServeReport,
+    answers_digest, BatchReport, CacheReport, ClusterFailover, HopPruneReport, InstanceReport,
+    LatencySummary, LinkReport, ServeReport,
 };
 pub use request::{Completion, Export, Rejection, Request, RequestTimestamps};
 pub use scheduler::{InstanceView, SchedulePolicy, Scheduler};

@@ -30,7 +30,7 @@
 //! hot-key fan-out from request order — never from wall-clock state. An
 //! empty plan leaves the cluster path byte-identical to before this module
 //! existed (pinned by the golden suite), and the [`MembershipReport`] key
-//! is omitted from the serialized [`ClusterReport`](crate::ClusterReport)
+//! is omitted from the fleet [`ServeReport`](crate::ServeReport)
 //! entirely.
 //!
 //! Rendezvous hashing is what keeps churn cheap: removing one of K shards
@@ -484,7 +484,7 @@ impl MembershipView {
 /// One entry of the membership epoch timeline: a lifecycle event or
 /// weight re-tune, with the number of tracked keys whose live primary
 /// moved across the boundary.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MembershipEpoch {
     /// Event instant, simulated seconds.
     pub at_s: f64,
@@ -496,11 +496,10 @@ pub struct MembershipEpoch {
     pub moved_keys: u64,
 }
 
-/// Aggregate accounting of one membership-churn campaign; joins
-/// [`ClusterReport`](crate::ClusterReport) with the key omitted entirely
-/// when the plan is empty, so plans that schedule nothing stay
-/// byte-invisible.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+/// Aggregate accounting of one membership-churn campaign; joins a fleet
+/// [`ServeReport`](crate::ServeReport) with the key omitted entirely when
+/// the plan is empty, so plans that schedule nothing stay byte-invisible.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct MembershipReport {
     /// Whether a non-empty plan was in force (false omits the key).
     pub enabled: bool,

@@ -1,5 +1,5 @@
-//! The `ServeReport`: everything measured about one served trace, in
-//! simulated time, exportable as JSON.
+//! The `ServeReport`: everything measured about one served trace, on one
+//! node or on a fleet of shards, in simulated time, exportable as JSON.
 
 use mann_core::report::{fnum, percent, percentile, TextTable};
 use mann_hw::PhaseCycles;
@@ -14,7 +14,7 @@ use crate::store::DurabilityReport;
 /// A lever's report section: its JSON key and its text table appear only
 /// while the lever is on, so a report from a run with the lever off is
 /// byte-identical to one from before the lever existed.
-pub(crate) trait Section: Serialize {
+trait Section: Serialize {
     /// Whether the lever was on.
     fn enabled(&self) -> bool;
     /// The section's text table.
@@ -44,64 +44,18 @@ impl_section!(
     MembershipReport
 );
 
-/// A section with its JSON key.
-pub(crate) type KeyedSection<'r> = (&'static str, &'r dyn Section);
-
-/// The optional sections both reports carry, keyed, in report order: the
-/// one list behind the JSON and the text of [`ServeReport`] and the
-/// cluster report (which appends its membership section).
-pub(crate) fn optional_sections<'r>(
-    fault: &'r FaultReport,
-    numeric: &'r NumericHealth,
-    batch: &'r BatchReport,
-    prune: &'r HopPruneReport,
-    index: &'r IndexReport,
-    durability: &'r DurabilityReport,
-) -> [KeyedSection<'r>; 6] {
-    [
-        ("fault", fault),
-        ("numeric", numeric),
-        ("batch", batch),
-        ("prune", prune),
-        ("index", index),
-        ("durability", durability),
-    ]
-}
-
-/// Appends each enabled section to a report's JSON object.
-pub(crate) fn push_sections(
-    pairs: &mut Vec<(String, serde_json::Value)>,
-    sections: &[KeyedSection],
-) {
-    for &(key, section) in sections {
-        if section.enabled() {
-            pairs.push((key.into(), section.to_value()));
-        }
-    }
-}
-
-/// Appends each enabled section's table to a report's text.
-pub(crate) fn render_sections(out: &mut String, sections: &[KeyedSection]) {
-    for &(_, section) in sections {
-        if section.enabled() {
-            out.push_str(&section.render());
-            out.push('\n');
-        }
-    }
-}
-
-/// Parses an optional key of a report: an absent key is the default (the
-/// lever was off).
-fn field_or_default<T: Deserialize + Default>(
+/// Parses an optional key of a report: an absent key takes `default`
+/// (the lever was off, or the layout does not publish the key).
+fn field_or<T: Deserialize>(
     v: &serde_json::Value,
     key: &str,
+    default: impl FnOnce() -> T,
 ) -> Result<T, serde_json::Error> {
-    v.field(key)
-        .map_or_else(|_| Ok(T::default()), T::from_value)
+    v.field(key).map_or_else(|_| Ok(default()), T::from_value)
 }
 
 /// The report fields that derive from the completion list alone, shared
-/// by [`ServeReport`] and the cluster report. The caller passes the
+/// by the node and the fleet report. The caller passes the
 /// latency samples, because the cluster measures a failed-over request
 /// from its original arrival rather than from its replica enqueue.
 pub(crate) struct CompletionStats {
@@ -401,50 +355,96 @@ pub struct LinkReport {
     pub utilization: f64,
 }
 
-/// Aggregate report of one served trace.
+/// Cross-shard failover accounting (zeros at R = 1 or without crashes).
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+pub struct ClusterFailover {
+    /// Watchdog handoffs: requests a shard exported after its instance
+    /// crashed under them.
+    pub exports: u64,
+    /// Exported requests that completed on a replica shard.
+    pub completed: u64,
+    /// Exported requests lost anyway (replica queue full or replica-side
+    /// shed); still accounted in the cluster partition.
+    pub lost: u64,
+    /// Link bytes the replica passes moved — the re-uploaded stories plus
+    /// their answer drains, paid at real link cost.
+    pub replay_link_bytes: u64,
+    /// Mean end-to-end latency of failed-over completions, measured from
+    /// the *original* arrival, seconds.
+    pub mean_failover_latency_s: f64,
+}
+
+/// Aggregate report of one serve, on one node or on a fleet of shards.
 ///
-/// Serialization is hand-written (not derived) for one reason: each
-/// optional section's key is emitted only while its lever is on, so a
-/// report with the lever off stays byte-identical to reports from before
-/// the lever existed (the golden suite pins this).
+/// A *node* report (empty [`ServeReport::per_shard`]) covers one serve
+/// stack: its instances, its link, its sections. A *fleet* report (one
+/// per-shard entry per shard) merges the per-shard reports the only sound
+/// way — latency percentiles ranked over the pooled raw samples (never
+/// averaged), counter sections summed, MTTR means re-weighted by their
+/// event counts — and carries each shard's node report. A K=1/R=1 cluster
+/// serve returns its one shard's node report unchanged.
+///
+/// Serialization is hand-written (not derived) for two reasons: each
+/// optional section's key is emitted only while its lever is on, and
+/// `per_shard` chooses between the node and the fleet layout. A report
+/// with a lever off is therefore byte-identical to reports from before the
+/// lever existed, and a node report to reports from before the fleet
+/// fields existed (the golden suite pins both).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
+    /// Shard nodes; 1 for a node report.
+    pub shards: usize,
+    /// Replica shards per story; 1 for a node report.
+    pub replication: usize,
     /// Requests in the trace.
     pub requests: usize,
     /// Requests that completed.
     pub completed: usize,
-    /// Requests rejected by the bounded queue (backpressure accounting).
+    /// Requests rejected by a bounded queue (backpressure accounting).
     pub rejected: usize,
+    /// Requests shed: link retries exhausted, or (in a fleet) no live
+    /// replica for the story. Only the fleet layout publishes it; on a
+    /// node it equals `fault.shed_link`, which is how a parsed node report
+    /// restores it.
+    pub shed: usize,
     /// Fraction of completed requests answered correctly.
     pub accuracy: f64,
-    /// First arrival to last drain, seconds.
+    /// First arrival to last drain (on any shard), seconds.
     pub makespan_s: f64,
     /// Completed requests per simulated second.
     pub throughput_rps: f64,
-    /// End-to-end latency distribution.
+    /// End-to-end latency distribution; a fleet pools every shard's
+    /// samples and measures failovers from their original arrival.
     pub latency: LatencySummary,
     /// Mean time spent in the host queue, seconds.
     pub mean_queue_wait_s: f64,
-    /// High-water mark of the host queue.
+    /// High-water mark of the host queue (deepest on any shard).
     pub max_queue_depth: usize,
-    /// Per-instance utilization, in index order.
+    /// Per-instance utilization, in index order; empty in a fleet report,
+    /// whose shards list their own.
     pub instances: Vec<InstanceReport>,
-    /// Shared-link utilization.
+    /// Cross-shard failover accounting; zeros on a node.
+    pub failover: ClusterFailover,
+    /// Shared-link utilization. A fleet sums its shards' links and takes
+    /// utilization over `shards x makespan` (each shard has its own link).
     pub link: LinkReport,
-    /// Story-cache effectiveness (zeros when caching is off).
+    /// Story-cache effectiveness (zeros when caching is off); a fleet sums
+    /// its shards and recomputes the hit rate.
     pub cache: CacheReport,
     /// Compute cycles summed over completions, by pipeline phase — the
     /// ITH-under-load tests read the output phase here.
     pub phase_totals: PhaseCycles,
     /// Completions that exited the output search early (ITH).
     pub speculated: usize,
-    /// Sum of per-instance energies, joules.
+    /// Sum of per-instance energies (a fleet: of per-pass energies),
+    /// joules.
     pub total_energy_j: f64,
-    /// One-time model-upload cost paid before serving, seconds.
+    /// One-time model-upload cost paid before serving, once per shard,
+    /// seconds.
     pub setup_s: f64,
     /// FNV-1a digest over `(id, answer)` of completions in id order.
-    /// Invariant across instance counts and scheduler policies — the
-    /// serving layer never changes an answer.
+    /// Invariant across instance counts, scheduler policies and shard
+    /// counts — neither scheduling nor routing ever changes an answer.
     pub answers_digest: String,
     /// Fault-campaign summary; `fault.enabled == false` (and the key
     /// absent from JSON) when no faults were injected.
@@ -464,39 +464,64 @@ pub struct ServeReport {
     /// Durable-store summary; `durability.enabled == false` (and the key
     /// absent from JSON) when the write-ahead log is off.
     pub durability: DurabilityReport,
+    /// Live-membership summary; `membership.enabled == false` (and the
+    /// key absent from JSON) unless a fleet ran a non-empty plan.
+    pub membership: MembershipReport,
     /// Whether this serve was cut short by a membership fail-stop
     /// (`ServeConfig::fail_stop`); the key is absent from JSON when
     /// false, so every pre-membership report stays byte-identical.
     pub fail_stopped: bool,
+    /// Each shard's primary-pass node report, in shard-index order (replica
+    /// passes are folded into the merged fields above). Non-empty exactly
+    /// when this is a fleet report.
+    pub per_shard: Vec<ServeReport>,
 }
 
 impl Serialize for ServeReport {
     fn to_value(&self) -> serde_json::Value {
-        let mut pairs: Vec<(String, serde_json::Value)> = vec![
-            ("requests".into(), self.requests.to_value()),
-            ("completed".into(), self.completed.to_value()),
-            ("rejected".into(), self.rejected.to_value()),
-            ("accuracy".into(), self.accuracy.to_value()),
-            ("makespan_s".into(), self.makespan_s.to_value()),
-            ("throughput_rps".into(), self.throughput_rps.to_value()),
-            ("latency".into(), self.latency.to_value()),
-            (
-                "mean_queue_wait_s".into(),
-                self.mean_queue_wait_s.to_value(),
-            ),
-            ("max_queue_depth".into(), self.max_queue_depth.to_value()),
-            ("instances".into(), self.instances.to_value()),
-            ("link".into(), self.link.to_value()),
-            ("cache".into(), self.cache.to_value()),
-            ("phase_totals".into(), self.phase_totals.to_value()),
-            ("speculated".into(), self.speculated.to_value()),
-            ("total_energy_j".into(), self.total_energy_j.to_value()),
-            ("setup_s".into(), self.setup_s.to_value()),
-            ("answers_digest".into(), self.answers_digest.to_value()),
-        ];
-        push_sections(&mut pairs, &self.sections());
+        let fleet = self.is_fleet();
+        let mut pairs: Vec<(String, serde_json::Value)> = Vec::new();
+        let mut push = |key: &str, value: serde_json::Value| pairs.push((key.into(), value));
+        if fleet {
+            push("shards", self.shards.to_value());
+            push("replication", self.replication.to_value());
+        }
+        push("requests", self.requests.to_value());
+        push("completed", self.completed.to_value());
+        push("rejected", self.rejected.to_value());
+        if fleet {
+            push("shed", self.shed.to_value());
+        }
+        push("accuracy", self.accuracy.to_value());
+        push("makespan_s", self.makespan_s.to_value());
+        push("throughput_rps", self.throughput_rps.to_value());
+        push("latency", self.latency.to_value());
+        push("mean_queue_wait_s", self.mean_queue_wait_s.to_value());
+        push("max_queue_depth", self.max_queue_depth.to_value());
+        if fleet {
+            push("failover", self.failover.to_value());
+            push("cache", self.cache.to_value());
+            push("link", self.link.to_value());
+        } else {
+            push("instances", self.instances.to_value());
+            push("link", self.link.to_value());
+            push("cache", self.cache.to_value());
+        }
+        push("phase_totals", self.phase_totals.to_value());
+        push("speculated", self.speculated.to_value());
+        push("total_energy_j", self.total_energy_j.to_value());
+        push("setup_s", self.setup_s.to_value());
+        push("answers_digest", self.answers_digest.to_value());
+        for (key, section) in self.sections() {
+            if section.enabled() {
+                push(key, section.to_value());
+            }
+        }
         if self.fail_stopped {
-            pairs.push(("fail_stopped".into(), self.fail_stopped.to_value()));
+            push("fail_stopped", self.fail_stopped.to_value());
+        }
+        if fleet {
+            push("per_shard", self.per_shard.to_value());
         }
         serde_json::Value::Object(pairs)
     }
@@ -504,17 +529,22 @@ impl Serialize for ServeReport {
 
 impl Deserialize for ServeReport {
     fn from_value(v: &serde_json::Value) -> Result<Self, serde_json::Error> {
+        let fault: FaultReport = field_or(v, "fault", FaultReport::default)?;
         Ok(Self {
+            shards: field_or(v, "shards", || 1)?,
+            replication: field_or(v, "replication", || 1)?,
             requests: Deserialize::from_value(v.field("requests")?)?,
             completed: Deserialize::from_value(v.field("completed")?)?,
             rejected: Deserialize::from_value(v.field("rejected")?)?,
+            shed: field_or(v, "shed", || fault.shed_link as usize)?,
             accuracy: Deserialize::from_value(v.field("accuracy")?)?,
             makespan_s: Deserialize::from_value(v.field("makespan_s")?)?,
             throughput_rps: Deserialize::from_value(v.field("throughput_rps")?)?,
             latency: Deserialize::from_value(v.field("latency")?)?,
             mean_queue_wait_s: Deserialize::from_value(v.field("mean_queue_wait_s")?)?,
             max_queue_depth: Deserialize::from_value(v.field("max_queue_depth")?)?,
-            instances: Deserialize::from_value(v.field("instances")?)?,
+            instances: field_or(v, "instances", Vec::new)?,
+            failover: field_or(v, "failover", ClusterFailover::default)?,
             link: Deserialize::from_value(v.field("link")?)?,
             cache: Deserialize::from_value(v.field("cache")?)?,
             phase_totals: Deserialize::from_value(v.field("phase_totals")?)?,
@@ -522,28 +552,37 @@ impl Deserialize for ServeReport {
             total_energy_j: Deserialize::from_value(v.field("total_energy_j")?)?,
             setup_s: Deserialize::from_value(v.field("setup_s")?)?,
             answers_digest: Deserialize::from_value(v.field("answers_digest")?)?,
-            fault: field_or_default(v, "fault")?,
-            numeric: field_or_default(v, "numeric")?,
-            batch: field_or_default(v, "batch")?,
-            prune: field_or_default(v, "prune")?,
-            index: field_or_default(v, "index")?,
-            durability: field_or_default(v, "durability")?,
-            fail_stopped: field_or_default(v, "fail_stopped")?,
+            fault,
+            numeric: field_or(v, "numeric", NumericHealth::default)?,
+            batch: field_or(v, "batch", BatchReport::default)?,
+            prune: field_or(v, "prune", HopPruneReport::default)?,
+            index: field_or(v, "index", IndexReport::default)?,
+            durability: field_or(v, "durability", DurabilityReport::default)?,
+            membership: field_or(v, "membership", MembershipReport::default)?,
+            fail_stopped: field_or(v, "fail_stopped", || false)?,
+            per_shard: field_or(v, "per_shard", Vec::new)?,
         })
     }
 }
 
 impl ServeReport {
-    /// The optional sections, keyed, in report order.
-    fn sections(&self) -> [KeyedSection<'_>; 6] {
-        optional_sections(
-            &self.fault,
-            &self.numeric,
-            &self.batch,
-            &self.prune,
-            &self.index,
-            &self.durability,
-        )
+    /// Whether this is a fleet report (it carries per-shard reports).
+    fn is_fleet(&self) -> bool {
+        !self.per_shard.is_empty()
+    }
+
+    /// The optional sections, keyed, in report order: the one list behind
+    /// the JSON and the text of both layouts.
+    fn sections(&self) -> [(&'static str, &dyn Section); 7] {
+        [
+            ("fault", &self.fault),
+            ("numeric", &self.numeric),
+            ("batch", &self.batch),
+            ("prune", &self.prune),
+            ("index", &self.index),
+            ("durability", &self.durability),
+            ("membership", &self.membership),
+        ]
     }
 
     /// Sum of per-instance busy seconds.
@@ -551,24 +590,40 @@ impl ServeReport {
         self.instances.iter().map(|i| i.busy_s).sum()
     }
 
-    /// A copy with the durability section reset to the disabled default:
-    /// with the WAL on (even across a kill-and-recover), everything else
-    /// must be byte-identical to the same serve without a WAL — the
-    /// journaling layer may observe a serve, never change it.
+    /// A copy with every durability section (a fleet's and each of its
+    /// shards') reset to the disabled default: with the WAL on (even
+    /// across a kill-and-recover), everything else must be byte-identical
+    /// to the same serve without a WAL — the journaling layer may observe
+    /// a serve, never change it.
     #[must_use]
     pub fn sans_durability(&self) -> Self {
-        let mut r = self.clone();
-        r.durability = DurabilityReport::default();
-        r
+        Self {
+            durability: DurabilityReport::default(),
+            per_shard: self.per_shard.iter().map(Self::sans_durability).collect(),
+            ..self.clone()
+        }
     }
 
-    /// Renders the report as text tables.
+    /// Renders the report as text tables: the summary, every enabled
+    /// section, then the per-instance table of a node or the per-shard
+    /// table of a fleet.
     pub fn render(&self) -> String {
+        let fleet = self.is_fleet();
         let mut out = String::new();
-        let mut t = TextTable::new(vec!["metric".into(), "value".into()]);
+        let title = if fleet { "cluster metric" } else { "metric" };
+        let mut t = TextTable::new(vec![title.into(), "value".into()]);
+        if fleet {
+            t.row(vec![
+                "shards x replication".into(),
+                format!("{} x {}", self.shards, self.replication),
+            ]);
+        }
         t.row(vec!["requests".into(), self.requests.to_string()]);
         t.row(vec!["completed".into(), self.completed.to_string()]);
         t.row(vec!["rejected".into(), self.rejected.to_string()]);
+        if fleet {
+            t.row(vec!["shed".into(), self.shed.to_string()]);
+        }
         t.row(vec!["accuracy".into(), percent(self.accuracy)]);
         t.row(vec![
             "makespan".into(),
@@ -579,7 +634,12 @@ impl ServeReport {
             format!("{} req/s", fnum(self.throughput_rps, 1)),
         ]);
         t.row(vec![
-            "latency p50/p95/p99".into(),
+            if fleet {
+                "latency p50/p95/p99 (pooled)"
+            } else {
+                "latency p50/p95/p99"
+            }
+            .into(),
             format!(
                 "{} / {} / {} us",
                 fnum(self.latency.p50_s * 1e6, 1),
@@ -591,45 +651,65 @@ impl ServeReport {
             "mean queue wait".into(),
             format!("{} us", fnum(self.mean_queue_wait_s * 1e6, 1)),
         ]);
-        t.row(vec![
-            "max queue depth".into(),
-            self.max_queue_depth.to_string(),
-        ]);
-        t.row(vec![
-            "link utilization".into(),
-            format!(
-                "{} ({} grants)",
-                percent(self.link.utilization),
-                self.link.grants
-            ),
-        ]);
-        t.row(vec![
-            "cache hits".into(),
-            format!(
-                "{} / {} ({}), {} stories, cap {}",
-                self.cache.hits,
-                self.cache.hits + self.cache.misses,
-                percent(self.cache.hit_rate),
-                self.cache.unique_stories,
-                self.cache.capacity
-            ),
-        ]);
-        t.row(vec![
-            "cache savings".into(),
-            format!(
-                "{} write cycles, {} B upload, {} J",
-                self.cache.write_cycles_saved,
-                self.cache.upload_bytes_saved,
-                fnum(self.cache.write_energy_saved_j, 3)
-            ),
-        ]);
-        t.row(vec!["early exits".into(), self.speculated.to_string()]);
+        let link = format!(
+            "{} ({} grants)",
+            percent(self.link.utilization),
+            self.link.grants
+        );
+        let hits = format!(
+            "{} / {} ({})",
+            self.cache.hits,
+            self.cache.hits + self.cache.misses,
+            percent(self.cache.hit_rate)
+        );
+        if fleet {
+            t.row(vec![
+                "cross-shard failovers".into(),
+                format!(
+                    "{} exported, {} completed, {} lost, {} B re-uploaded",
+                    self.failover.exports,
+                    self.failover.completed,
+                    self.failover.lost,
+                    self.failover.replay_link_bytes
+                ),
+            ]);
+            t.row(vec!["fleet link utilization".into(), link]);
+            t.row(vec!["cache hits".into(), hits]);
+        } else {
+            t.row(vec![
+                "max queue depth".into(),
+                self.max_queue_depth.to_string(),
+            ]);
+            t.row(vec!["link utilization".into(), link]);
+            t.row(vec![
+                "cache hits".into(),
+                format!(
+                    "{hits}, {} stories, cap {}",
+                    self.cache.unique_stories, self.cache.capacity
+                ),
+            ]);
+            t.row(vec![
+                "cache savings".into(),
+                format!(
+                    "{} write cycles, {} B upload, {} J",
+                    self.cache.write_cycles_saved,
+                    self.cache.upload_bytes_saved,
+                    fnum(self.cache.write_energy_saved_j, 3)
+                ),
+            ]);
+            t.row(vec!["early exits".into(), self.speculated.to_string()]);
+        }
         t.row(vec![
             "energy".into(),
             format!("{} J", fnum(self.total_energy_j, 3)),
         ]);
         t.row(vec![
-            "setup (model upload)".into(),
+            if fleet {
+                "setup (model uploads)"
+            } else {
+                "setup (model upload)"
+            }
+            .into(),
             format!("{} ms", fnum(self.setup_s * 1e3, 3)),
         ]);
         if self.fail_stopped {
@@ -638,8 +718,23 @@ impl ServeReport {
         t.row(vec!["answers digest".into(), self.answers_digest.clone()]);
         out.push_str(&t.render());
         out.push('\n');
-        render_sections(&mut out, &self.sections());
-        let mut inst = TextTable::new(vec![
+        for (_, section) in self.sections() {
+            if section.enabled() {
+                out.push_str(&section.render());
+                out.push('\n');
+            }
+        }
+        out.push_str(&if fleet {
+            self.shard_table()
+        } else {
+            self.instance_table()
+        });
+        out
+    }
+
+    /// The per-instance table of a node report.
+    fn instance_table(&self) -> String {
+        let mut t = TextTable::new(vec![
             "instance".into(),
             "completed".into(),
             "cache hits".into(),
@@ -648,7 +743,7 @@ impl ServeReport {
             "energy (J)".into(),
         ]);
         for i in &self.instances {
-            inst.row(vec![
+            t.row(vec![
                 i.instance.to_string(),
                 i.completed.to_string(),
                 i.cache_hits.to_string(),
@@ -657,8 +752,36 @@ impl ServeReport {
                 fnum(i.energy_j, 3),
             ]);
         }
-        out.push_str(&inst.render());
-        out
+        t.render()
+    }
+
+    /// The per-shard table of a fleet report.
+    fn shard_table(&self) -> String {
+        let mut t = TextTable::new(vec![
+            "shard".into(),
+            "requests".into(),
+            "completed".into(),
+            "rejected".into(),
+            "cache hit rate".into(),
+            "crashes".into(),
+            "failovers".into(),
+            "p99 (us)".into(),
+            "energy (J)".into(),
+        ]);
+        for (s, r) in self.per_shard.iter().enumerate() {
+            t.row(vec![
+                s.to_string(),
+                r.requests.to_string(),
+                r.completed.to_string(),
+                r.rejected.to_string(),
+                percent(r.cache.hit_rate),
+                r.fault.crashes.to_string(),
+                r.fault.failovers.to_string(),
+                fnum(r.latency.p99_s * 1e6, 1),
+                fnum(r.total_energy_j, 3),
+            ]);
+        }
+        t.render()
     }
 }
 

@@ -48,10 +48,11 @@ use mann_store::WalRecord;
 use serde::{Deserialize, Serialize};
 
 use crate::faults::{FaultConfig, FaultPlan, FaultReport};
+use crate::membership::MembershipReport;
 use crate::numeric::{NumericHealth, NumericPolicy};
 use crate::report::{
-    BatchReport, CacheReport, CompletionStats, HopPruneReport, IndexReport, InstanceReport,
-    LinkReport, ServeReport,
+    BatchReport, CacheReport, ClusterFailover, CompletionStats, HopPruneReport, IndexReport,
+    InstanceReport, LinkReport, ServeReport,
 };
 use crate::request::{Completion, Export, Rejection, Request, RequestTimestamps};
 use crate::scheduler::{InstanceView, Scheduler};
@@ -217,7 +218,7 @@ impl ServeConfig {
         pcie(
             "bandwidth_bytes_per_s",
             self.pcie.bandwidth_bytes_per_s,
-            spec::positive,
+            spec::link_bandwidth,
         )
         .and_then(|()| {
             pcie(
@@ -1411,7 +1412,8 @@ impl<'s, 'a> EventLoop<'s, 'a> {
             .journal
             .take()
             .map_or_else(Vec::new, |j| j.finish(&completions));
-        let report = self.report(&completions, numeric);
+        debug_assert_eq!(sheds.len() as u64, self.fault.shed_link);
+        let report = self.report(&completions, sheds.len(), numeric);
         ServeOutcome {
             completions,
             rejections: self.rejections,
@@ -1422,7 +1424,12 @@ impl<'s, 'a> EventLoop<'s, 'a> {
         }
     }
 
-    fn report(&self, completions: &[Completion], numeric: NumericHealth) -> ServeReport {
+    fn report(
+        &self,
+        completions: &[Completion],
+        shed: usize,
+        numeric: NumericHealth,
+    ) -> ServeReport {
         let config = self.server.config();
         let makespan_s = self.last_drain.as_s();
         let latencies: Vec<f64> = completions
@@ -1542,9 +1549,12 @@ impl<'s, 'a> EventLoop<'s, 'a> {
         }
         let link = &self.arb;
         ServeReport {
+            shards: 1,
+            replication: 1,
             requests: self.trace.requests.len(),
             completed: completions.len(),
             rejected: self.rejections.len(),
+            shed,
             accuracy: stats.accuracy,
             makespan_s,
             throughput_rps: stats.throughput_rps,
@@ -1552,6 +1562,7 @@ impl<'s, 'a> EventLoop<'s, 'a> {
             mean_queue_wait_s: stats.mean_queue_wait_s,
             max_queue_depth: self.max_queue_depth,
             instances,
+            failover: ClusterFailover::default(),
             link: LinkReport {
                 grants: link.grants(),
                 bytes: link.bytes_moved(),
@@ -1576,7 +1587,9 @@ impl<'s, 'a> EventLoop<'s, 'a> {
             // The durable driver (`crate::store`) patches this section in
             // after persisting the journal; the pure serve never fills it.
             durability: DurabilityReport::default(),
+            membership: MembershipReport::default(),
             fail_stopped: config.fail_stop.is_some(),
+            per_shard: Vec::new(),
         }
     }
 }

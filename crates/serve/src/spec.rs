@@ -32,6 +32,15 @@ use serde::Deserialize;
 /// added to.
 pub const SIM_HORIZON_S: f64 = 10.0;
 
+/// The slowest host-link bandwidth accepted from outside: 1 MB/s.
+///
+/// At this floor a 10 MB upload — a story of 2.5 million words, far past
+/// any the generator builds — streams in exactly [`SIM_HORIZON_S`], so one
+/// story upload always fits inside the horizon. Slower links only push
+/// every request past it (`--link-gbps 1e-12` reports a makespan of
+/// ~14 simulated days).
+pub const MIN_LINK_BYTES_PER_S: f64 = 1e6;
+
 /// The most crash events, and the most SEU events, one fault plan may
 /// schedule: 100,000 each.
 ///
@@ -166,6 +175,29 @@ pub(crate) fn duration_s(s: f64) -> Result<f64, String> {
         (0.0..=SIM_HORIZON_S).contains(&s),
         s,
         format!("must be a simulated time between 0 and the {SIM_HORIZON_S} s horizon"),
+    )
+}
+
+/// A simulated-time interval given in microseconds (returned unchanged):
+/// above 0 and at most [`SIM_HORIZON_S`].
+pub fn interval_us(us: f64) -> Result<f64, String> {
+    rule(
+        us > 0.0 && us * 1e-6 <= SIM_HORIZON_S,
+        us,
+        format!("must be a simulated time above 0 and within the {SIM_HORIZON_S} s horizon"),
+    )
+}
+
+/// A host-link bandwidth in bytes per second: finite and at least
+/// [`MIN_LINK_BYTES_PER_S`].
+pub fn link_bandwidth(bytes_per_s: f64) -> Result<f64, String> {
+    rule(
+        bytes_per_s.is_finite() && bytes_per_s >= MIN_LINK_BYTES_PER_S,
+        bytes_per_s,
+        format!(
+            "must be a finite bandwidth of at least {MIN_LINK_BYTES_PER_S} B/s \
+             (0.001 GB/s), so one story upload fits the {SIM_HORIZON_S} s horizon"
+        ),
     )
 }
 
@@ -492,5 +524,24 @@ mod tests {
             assert!(us(bad).is_err(), "{bad} must be rejected");
         }
         assert!(duration_s(f64::from_bits(SIM_HORIZON_S.to_bits() + 1)).is_err());
+    }
+
+    #[test]
+    fn intervals_and_bandwidths_stop_at_the_horizon() {
+        assert_eq!(interval_us(80.0), Ok(80.0));
+        assert_eq!(interval_us(SIM_HORIZON_S * 1e6), Ok(SIM_HORIZON_S * 1e6));
+        for bad in [0.0, -5.0, 1.000_001e7, 1e300, f64::NAN, f64::INFINITY] {
+            assert!(interval_us(bad).is_err(), "{bad} us must be rejected");
+        }
+        assert_eq!(link_bandwidth(1.5e9), Ok(1.5e9));
+        assert_eq!(
+            link_bandwidth(MIN_LINK_BYTES_PER_S),
+            Ok(MIN_LINK_BYTES_PER_S)
+        );
+        for bad in [0.0, -1.0, 1e-3, 999_999.0, f64::NAN, f64::INFINITY] {
+            assert!(link_bandwidth(bad).is_err(), "{bad} B/s must be rejected");
+        }
+        // At the floor, a 10 MB upload takes the whole horizon.
+        assert_eq!(1e7 / MIN_LINK_BYTES_PER_S, SIM_HORIZON_S);
     }
 }

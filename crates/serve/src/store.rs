@@ -10,7 +10,9 @@
 //!   then persist its journal — appending every story admission, eviction
 //!   and completion to a checksummed segmented WAL, rotating and
 //!   snapshotting every [`WalConfig::snapshot_every`] records, and
-//!   garbage-collecting segments a snapshot covers.
+//!   garbage-collecting segments a snapshot covers. A single node and a
+//!   K=1 cluster journal into the WAL directory itself; a K>1 cluster
+//!   gives every shard-pass its own `shard-<s>/pass-<p>` subdirectory.
 //! * With `node_kills` armed ([`crate::FaultConfig::node_kills`]), a
 //!   seed-chosen victim shard is fail-stopped mid-journal: the append path
 //!   is cut at a deterministic kill point and a torn half-frame is left on
@@ -538,12 +540,13 @@ pub fn serve_durable(
     )
 }
 
-/// Serves a trace across a cluster with the write-ahead log armed: every
-/// `(shard, pass)` journals into its own `shard-<s>/pass-<p>` directory
-/// under the base [`WalConfig::dir`], and the `node_kills` victim shard
-/// (chosen seed-purely from the *base* fault seed, so per-shard seed
-/// re-mixing never moves it) is killed and recovered on its primary
-/// pass.
+/// Serves a trace across a cluster with the write-ahead log armed. At K>1
+/// every `(shard, pass)` journals into its own `shard-<s>/pass-<p>`
+/// directory under the base [`WalConfig::dir`]; at K=1 the one pass
+/// journals into that directory itself, the layout [`serve_durable`]
+/// writes, so the directory replays directly. The `node_kills` victim
+/// shard (chosen seed-purely from the *base* fault seed, so per-shard seed
+/// re-mixing never moves it) is killed and recovered on its primary pass.
 ///
 /// # Errors
 ///
@@ -561,12 +564,16 @@ pub fn serve_cluster_durable(
     let shards = config.shards as u64;
     let order: Vec<usize> = (0..config.shards).collect();
     cluster.serve_in_order_with(trace, &order, |pass, shard, server, sub| {
+        let dir = if shards == 1 {
+            root.clone()
+        } else {
+            root.join(format!("shard-{shard}"))
+                .join(format!("pass-{pass}"))
+        };
         run_shard_durable(
             server,
             sub,
-            &root
-                .join(format!("shard-{shard}"))
-                .join(format!("pass-{pass}")),
+            &dir,
             KillPlan {
                 node_kills,
                 seed,

@@ -5,9 +5,9 @@
 //! the report, and each section's key is absent while its lever is off.
 //! The golden fixtures arm at most two levers per campaign, so this test
 //! pins the combined shape: with every lever on, the JSON keys come out in
-//! one fixed order on both the single-node and the cluster report, the
-//! single-node report round-trips through its JSON form unchanged, and the
-//! text render carries every section's table in the same order.
+//! one fixed order in both the node and the fleet layout of the one
+//! report type, both round-trip through their JSON form unchanged, and
+//! the text render carries every section's table in the same order.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -191,6 +191,10 @@ fn cluster_report_emits_every_section_in_order() {
     .chain(["membership", "per_shard"])
     .collect();
     assert_eq!(keys(&v), expected);
+    assert_eq!(
+        ServeReport::from_value(&v).expect("fleet report parses back"),
+        r
+    );
     for shard in &r.per_shard {
         let sv = shard.to_value();
         assert_eq!(

@@ -3,10 +3,10 @@
 //!
 //! The cluster layer's contract:
 //!
-//! 1. A [`ClusterReport`] is byte-identical across `MANN_THREADS`
-//!    settings, serial/parallel engines, and shard-iteration order.
-//! 2. At K=1/R=1 the layer is inert: outcome and report bytes equal the
-//!    single-node [`Server`] path exactly.
+//! 1. A fleet report is byte-identical across `MANN_THREADS` settings,
+//!    serial/parallel engines, and shard-iteration order.
+//! 2. At K=1/R=1 the layer is inert: the outcome and the report equal the
+//!    single-node [`Server`] path's exactly, struct and bytes.
 //! 3. With R ≥ 2, a request stranded by an instance crash completes on
 //!    the story's replica shard; MTTR is accounted; completions + sheds +
 //!    rejections still partition the trace — nothing is double-completed.
@@ -129,6 +129,10 @@ fn k1_r1_cluster_is_byte_identical_to_single_node() {
         },
     )
     .serve(&t);
+    assert_eq!(
+        cluster.report, single.report,
+        "inert cluster must report the single node's report"
+    );
     assert_eq!(
         cluster.report.to_value().print(),
         single.report.to_value().print(),

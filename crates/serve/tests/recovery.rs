@@ -276,6 +276,50 @@ fn killed_cluster_wal_dirs_replay_and_recover_again() {
     );
 }
 
+/// A K=1 cluster journals where a single node does: into the WAL root
+/// itself, with the same files, and through a node kill its report is
+/// the single node's report.
+#[test]
+fn one_shard_cluster_journals_into_the_wal_root() {
+    let node_dir = wal_dir("k1_node");
+    let k1_dir = wal_dir("k1_cluster");
+    let node = serve_durable(
+        &Server::new(suite(), durable_config(&node_dir, 16, 1)),
+        &trace(),
+    )
+    .expect("durable node serve");
+    let k1 = serve_cluster_durable(
+        &Cluster::new(
+            suite(),
+            ClusterConfig {
+                base: durable_config(&k1_dir, 16, 1),
+                ..ClusterConfig::default()
+            },
+        ),
+        &trace(),
+    )
+    .expect("durable K=1 cluster serve");
+    assert_eq!(k1.report.durability.node_kills, 1, "the campaign killed");
+    assert_eq!(k1.report, node.report);
+    let files = |dir: &PathBuf| {
+        let mut v: Vec<(std::ffi::OsString, Vec<u8>)> = std::fs::read_dir(dir)
+            .expect("wal root")
+            .map(|e| {
+                let e = e.expect("dir entry");
+                (e.file_name(), std::fs::read(e.path()).expect("a file"))
+            })
+            .collect();
+        v.sort();
+        v
+    };
+    assert_eq!(
+        files(&k1_dir),
+        files(&node_dir),
+        "same WAL layout and bytes"
+    );
+    replay_dir(&k1_dir).expect("the K=1 WAL root replays as it stands");
+}
+
 /// Misconfigurations are hard errors at startup, not silent fallbacks.
 #[test]
 fn misconfigured_durability_is_a_hard_error() {

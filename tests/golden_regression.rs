@@ -343,10 +343,10 @@ fn serve_fault_campaign_is_pinned() {
 
 /// A K=4/R=2 cluster campaign with instance crashes armed on every shard:
 /// stranded requests fail over cross-shard to their story's replica, and
-/// the merged `ClusterReport` — pooled latency percentiles, summed fault
+/// the merged fleet report — pooled latency percentiles, summed fault
 /// sections, per-shard breakdown — is pinned byte for byte. Also asserts
 /// the two reduction laws: serial == parallel bytes, and a K=1/R=1
-/// cluster serializes byte-identically to the single-node report.
+/// cluster's report equals the single-node report, struct and bytes.
 #[test]
 fn serve_cluster_campaign_is_pinned() {
     let s = suite();
@@ -410,7 +410,7 @@ fn serve_cluster_campaign_is_pinned() {
     );
 
     // Reduction law: at K=1/R=1 the cluster layer is inert and its report
-    // bytes are the single-node report's bytes.
+    // is the single-node report, so its bytes are too.
     let single = Server::new(s, config.base.clone()).serve(&trace);
     let inert = Cluster::new(
         s,
@@ -423,9 +423,13 @@ fn serve_cluster_campaign_is_pinned() {
     )
     .serve(&trace);
     assert_eq!(
+        inert.report, single.report,
+        "K=1/R=1 cluster must reduce to the single-node report"
+    );
+    assert_eq!(
         inert.report.to_value().print(),
         single.report.to_value().print(),
-        "K=1/R=1 cluster must reduce to the single-node report"
+        "K=1/R=1 cluster must serialize as the single-node report"
     );
 
     check_golden("serve_cluster.json", &out.report.to_value());
